@@ -100,16 +100,21 @@ def modulus_bound_margin(table: AdmittanceTable, s) -> float:
     return float(np.min(ratio * table.rho_edge.real - np.abs(table.rho_edge)))
 
 
+def _inverse_sums(net: Network) -> np.ndarray:
+    """Per vertex, the sum of 1/(L+R+D) over its incident edges."""
+    sums = np.zeros(net.n)
+    for e in net.edges:
+        w = 1.0 / (e.L + e.R + e.D)
+        sums[e.u] += w
+        sums[e.v] += w
+    return sums
+
+
 def vertex_modulus_bound_margin(net: Network, table: AdmittanceTable, s) -> float:
     """Min over vertices of the modulus bound slack for rho(x)."""
     s = validate_frequency(s)
     cap = max(1.0, abs(s) ** 2) / s.real
-    inverse_sums = np.zeros(net.n)
-    for e in net.edges:
-        w = 1.0 / (e.L + e.R + e.D)
-        inverse_sums[e.u] += w
-        inverse_sums[e.v] += w
-    return float(np.min(inverse_sums * cap - np.abs(table.rho_vertex)))
+    return float(np.min(_inverse_sums(net) * cap - np.abs(table.rho_vertex)))
 
 
 @dataclass(frozen=True)
@@ -131,11 +136,7 @@ class GapConstants:
 
 def gap_constants(net: Network, s) -> GapConstants:
     s = validate_frequency(s)
-    inverse_sums = np.zeros(net.n)
-    for e in net.edges:
-        w = 1.0 / (e.L + e.R + e.D)
-        inverse_sums[e.u] += w
-        inverse_sums[e.v] += w
+    inverse_sums = _inverse_sums(net)
     c1 = float(np.min(inverse_sums))
     c2 = float(np.sum(inverse_sums))
     mod2 = abs(s) ** 2

@@ -89,15 +89,14 @@ class CircleEntry:
     otherwise 'plus'/'minus' for the nearer of the two circles centered
     at (1, +|Im s|/Re s) and (1, -|Im s|/Re s). ``margin`` is the
     interval slack min(Re, 2 - Re) for real entries and radius minus
-    distance-to-nearer-center otherwise. ``re_sign_ok`` picks the circle
-    by the sign of Re lambda, ``im_sign_ok`` by the sign of Im lambda;
-    both are informational, the pass decision uses the circle union.
+    distance-to-nearer-center otherwise. ``im_sign_ok`` picks the circle
+    by the sign of Im lambda; it is informational, the pass decision
+    uses the circle union.
     """
 
     eigenvalue: complex
     classification: str
     margin: float
-    re_sign_ok: bool
     im_sign_ok: bool
 
 
@@ -131,19 +130,13 @@ def check_circles(spectrum: Spectrum, s, tols: Tolerances = Tolerances()) -> Reg
         else:
             classification = "plus" if d_plus <= d_minus else "minus"
             margin = radius - min(d_plus, d_minus)
-        if lam.real > 0:
-            re_sign_ok = in_plus
-        elif lam.real < 0:
-            re_sign_ok = in_minus
-        else:
-            re_sign_ok = True
         if lam.imag > tols.real_axis:
             im_sign_ok = in_plus
         elif lam.imag < -tols.real_axis:
             im_sign_ok = in_minus
         else:
             im_sign_ok = interval_ok
-        entries.append(CircleEntry(lam, classification, float(margin), re_sign_ok, im_sign_ok))
+        entries.append(CircleEntry(lam, classification, float(margin), im_sign_ok))
     real_interval_ok = all(
         e.margin >= -tols.region for e in entries if e.classification == "real"
     )
@@ -311,7 +304,7 @@ def sharpness_sweep(
     for s1 in s1_list:
         s = complex(s1, s2)
         target = 1.0 + s * s / (1.0 + s * s)
-        spectrum = eigenvalues(assemble(net, s).entries, compute_residuals=False)
+        spectrum = eigenvalues(assemble(net, s).entries)
         distances = np.abs(spectrum.eigenvalues - target)
         nearest = int(np.argmin(distances))
         if distances[nearest] > tols.locate:
@@ -380,7 +373,7 @@ def run_all_checks(
     """Run every verifier on a network at one frequency.
 
     Returns the report plus the primal and dual spectra so callers can
-    inspect convergence and residuals.
+    inspect convergence.
     """
     s = validate_frequency(s)
     spectrum = eigenvalues(assemble(net, s).entries)

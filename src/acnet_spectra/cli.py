@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .admittance import validate_frequency
-from .analysis import SharpnessPoint, Tolerances, run_all_checks, sharpness_sweep
-from .eigensolver import ConvergenceError, Spectrum, eigenvalues
+from .analysis import Tolerances, run_all_checks, sharpness_sweep
+from .eigensolver import ConvergenceError, Spectrum, eigenvalues, residuals
 from .laplacian import assemble, format_complex
 from .network import Network, NetworkError, p4_example, parse_network
 from .svgfig import render_spectrum_svg
@@ -64,7 +63,6 @@ class RunConfig:
     sweep_s2: float = 0.0
     sweep_any: bool = False
     output_path: str | None = None
-    jobs: int = 1
     tolerances: Tolerances = dataclasses.field(default_factory=Tolerances)
 
 
@@ -106,19 +104,16 @@ def _load_network(cfg: RunConfig) -> Network:
     return parse_network(text)
 
 
-def _solve(cfg: RunConfig, net: Network) -> Spectrum:
-    lap = assemble(net, cfg.frequency, dual=cfg.dual)
-    return eigenvalues(lap.entries)
-
-
-def _spectrum_text(cfg: RunConfig, net: Network, spectrum: Spectrum) -> str:
+def _spectrum_text(
+    cfg: RunConfig, net: Network, spectrum: Spectrum, residual_norms
+) -> str:
     lines = [
         f"vertices: {net.n}  edges: {len(net.edges)}",
         f"s = {format_complex(cfg.frequency)}" + ("  (dual)" if cfg.dual else ""),
         f"converged: {'true' if spectrum.converged else 'false'}",
         "eigenvalues (by real part, then imaginary):",
     ]
-    for lam, res in zip(spectrum.eigenvalues, spectrum.residuals):
+    for lam, res in zip(spectrum.eigenvalues, residual_norms):
         lines.append(f"  {format_complex(lam)}  residual={res:.2e}")
     lines.append("eigenvalues (by modulus):")
     for lam in spectrum.by_modulus():
@@ -128,8 +123,9 @@ def _spectrum_text(cfg: RunConfig, net: Network, spectrum: Spectrum) -> str:
 
 def run_spectrum(cfg: RunConfig) -> tuple[int, str]:
     net = _load_network(cfg)
-    spectrum = _solve(cfg, net)
-    text = _spectrum_text(cfg, net, spectrum)
+    a = assemble(net, cfg.frequency, dual=cfg.dual).entries
+    spectrum = eigenvalues(a)
+    text = _spectrum_text(cfg, net, spectrum, residuals(a, spectrum.eigenvalues))
     return (EXIT_OK if spectrum.converged else EXIT_SOLVER), text
 
 
@@ -147,17 +143,6 @@ def run_verify(cfg: RunConfig) -> tuple[int, str]:
     return (EXIT_OK if report.all_passed() else EXIT_VERIFY), text
 
 
-def _sweep_rows(cfg: RunConfig, net: Network | None) -> list[SharpnessPoint]:
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = pool.map(
-                lambda s1: sharpness_sweep([s1], cfg.sweep_s2, net, cfg.tolerances),
-                cfg.sweep_s1,
-            )
-            return [point for chunk in chunks for point in chunk]
-    return sharpness_sweep(list(cfg.sweep_s1), cfg.sweep_s2, net, cfg.tolerances)
-
-
 def run_sweep(cfg: RunConfig) -> tuple[int, str]:
     if not cfg.sweep_s1:
         raise UsageError("sweep needs at least one --s1 value")
@@ -168,7 +153,7 @@ def run_sweep(cfg: RunConfig) -> tuple[int, str]:
         net = _load_network(cfg)
     elif cfg.example not in (None, "p4"):
         raise UsageError("sweep supports --example p4 or --sweep-any with --network")
-    points = _sweep_rows(cfg, net)
+    points = sharpness_sweep(list(cfg.sweep_s1), cfg.sweep_s2, net, cfg.tolerances)
     lines = ["s1 s2 eigenvalue ratio"]
     for p in points:
         lines.append(
@@ -179,7 +164,7 @@ def run_sweep(cfg: RunConfig) -> tuple[int, str]:
 
 def run_plot(cfg: RunConfig) -> tuple[int, str]:
     net = _load_network(cfg)
-    spectrum = _solve(cfg, net)
+    spectrum = eigenvalues(assemble(net, cfg.frequency, dual=cfg.dual).entries)
     if not spectrum.converged:
         return EXIT_SOLVER, "eigensolver did not converge\n"
     svg = render_spectrum_svg(spectrum, cfg.frequency)
@@ -211,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="complex frequency, e.g. 1+2i (Re s must be positive)",
             )
         p.add_argument("--out", metavar="PATH", help="write output to a file")
-        p.add_argument("--jobs", type=int, default=1, metavar="N")
         p.add_argument(
             "--tol",
             action="append",
@@ -250,7 +234,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.network_path = args.network
     cfg.example = args.example
     cfg.output_path = args.out
-    cfg.jobs = max(1, args.jobs)
     cfg.tolerances = _parse_tolerances(args.tol)
     cfg.dual = getattr(args, "dual", False)
     if hasattr(args, "s"):

@@ -6,8 +6,10 @@ Householder reflections and runs an explicitly shifted QR iteration
 negligible subdiagonal entries). ``charpoly_oracle`` recovers the same
 multiset by a completely different route: characteristic-polynomial
 coefficients via the Faddeev-LeVerrier recurrence, roots via
-Durand-Kerner iteration. Eigenvectors come from inverse iteration and
-feed the per-eigenvalue residual diagnostics.
+Durand-Kerner iteration. Neither computes eigenvectors: ``residuals``
+is a separate pass that runs inverse iteration once per eigenvalue
+(O(n^4) in total), for callers that print the per-eigenvalue residual
+diagnostics.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "eigenvalues",
     "eigenvector",
     "match_multisets",
+    "residuals",
 ]
 
 DEFLATION_TOL = 1e-12
@@ -44,14 +47,13 @@ class ConvergenceError(RuntimeError):
 class Spectrum:
     """All eigenvalues of one matrix, sorted by (Re, Im) ascending.
 
-    ``residuals[k]`` is ||A v - eigenvalues[k] v||_2 for the unit
-    eigenvector v obtained by inverse iteration. ``converged`` reports
-    whether the QR iteration deflated completely within its sweep
-    budget (the oracle sets it from the root finder instead).
+    ``converged`` reports whether the QR iteration deflated completely
+    within its sweep budget (the oracle sets it from the root finder
+    instead). Eigenvector residuals are not part of a spectrum; see
+    :func:`residuals`.
     """
 
     eigenvalues: np.ndarray
-    residuals: np.ndarray
     converged: bool
 
     @property
@@ -64,10 +66,10 @@ class Spectrum:
         order = np.lexsort((ev.imag, ev.real, np.abs(ev)))
         return ev[order]
 
-    def zero_count(self, zero_tol: float = RESIDUAL_TOL) -> int:
+    def zero_count(self, zero_tol: float) -> int:
         return int(np.sum(np.abs(self.eigenvalues) <= zero_tol))
 
-    def smallest_nonzero_modulus(self, zero_tol: float = RESIDUAL_TOL) -> float:
+    def smallest_nonzero_modulus(self, zero_tol: float) -> float:
         moduli = np.abs(self.eigenvalues)
         nonzero = moduli[moduli > zero_tol]
         return float(nonzero.min()) if nonzero.size else float("nan")
@@ -169,9 +171,7 @@ def _qr_sweep(h: np.ndarray, lo: int, hi: int, mu: complex) -> None:
     h[idx, idx] += mu
 
 
-def _qr_eigenvalues(
-    h: np.ndarray, deflation_tol: float, max_sweeps: int
-) -> tuple[np.ndarray, bool]:
+def _qr_eigenvalues(h: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, bool]:
     n = h.shape[0]
     values: list[complex] = []
     hi = n - 1
@@ -183,7 +183,7 @@ def _qr_eigenvalues(
             break
         lo = hi
         while lo > 0:
-            if abs(h[lo, lo - 1]) <= deflation_tol * (
+            if abs(h[lo, lo - 1]) <= DEFLATION_TOL * (
                 abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
             ):
                 h[lo, lo - 1] = 0.0
@@ -208,8 +208,8 @@ def _qr_eigenvalues(
     return np.array(values, dtype=complex), True
 
 
-def eigenvalues(a, deflation_tol: float = DEFLATION_TOL, compute_residuals: bool = True) -> Spectrum:
-    """Full spectrum of a dense complex matrix, with residual diagnostics.
+def eigenvalues(a) -> Spectrum:
+    """Full spectrum of a dense complex matrix.
 
     Non-convergence of the QR iteration (more than 40 n sweeps without
     full deflation) is reported through ``converged=False`` rather than
@@ -223,13 +223,8 @@ def eigenvalues(a, deflation_tol: float = DEFLATION_TOL, compute_residuals: bool
         converged = True
     else:
         h = _hessenberg(a)
-        values, converged = _qr_eigenvalues(h, deflation_tol, 40 * n)
-    values = _sorted_lex(values)
-    residuals = np.zeros(n)
-    if compute_residuals:
-        for k, lam in enumerate(values):
-            _, residuals[k], _ = _inverse_iteration(a, lam)
-    return Spectrum(values, residuals, converged)
+        values, converged = _qr_eigenvalues(h, 40 * n)
+    return Spectrum(_sorted_lex(values), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +269,19 @@ def _inverse_iteration(
         if res <= tol:
             return v, res, True
     return best_v, best_res, False
+
+
+def residuals(a, values) -> np.ndarray:
+    """Per-eigenvalue residual ||A v - values[k] v||_2 of a unit eigenvector.
+
+    v comes from inverse iteration at ``values[k]``; where that stalls
+    above ``RESIDUAL_TOL`` the smallest residual it reached is reported.
+    """
+    a = _checked_square(a)
+    out = np.zeros(len(values))
+    for k, lam in enumerate(values):
+        _, out[k], _ = _inverse_iteration(a, lam)
+    return out
 
 
 def eigenvector(a, lam: complex, tol: float = RESIDUAL_TOL, max_iterations: int = 50) -> np.ndarray:
@@ -348,11 +356,7 @@ def charpoly_oracle(a) -> Spectrum:
         values = a.diagonal().astype(complex)
     else:
         values = _durand_kerner(charpoly_coefficients(a))
-    values = _sorted_lex(values)
-    residuals = np.zeros(n)
-    for k, lam in enumerate(values):
-        _, residuals[k], _ = _inverse_iteration(a, lam)
-    return Spectrum(values, residuals, True)
+    return Spectrum(_sorted_lex(values), True)
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,16 @@ def assemble(net: Network, s, dual: bool = False) -> LaplacianMatrix:
     if dual:
         rho_edge = rho_edge.conj()
         rho_vertex = rho_vertex.conj()
-    # Re rho(x) > 0 holds for every vertex of a valid network; the guard
-    # only protects against pathological underflow.
-    assert np.all(np.abs(rho_vertex) > 1e-30)
+    # Re rho(x) > 0 holds in exact arithmetic for every valid network, but
+    # extreme element scales or frequencies can underflow or overflow it.
+    bad = np.flatnonzero((rho_vertex == 0) | ~np.isfinite(rho_vertex))
+    if bad.size:
+        x = int(bad[0])
+        raise ValueError(
+            f"vertex {net.vertices[x]!r}: admittance sum rho(x) = "
+            f"{format_complex(rho_vertex[x])} is zero or not finite at s = "
+            f"{format_complex(s)}"
+        )
     a = np.eye(net.n, dtype=complex)
     for k, e in enumerate(net.edges):
         a[e.u, e.v] = -rho_edge[k] / rho_vertex[e.u]

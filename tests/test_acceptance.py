@@ -64,7 +64,7 @@ def test_02_p4_closed_form_sweep():
         if abs(1.0 + s * s) < 1e-6:
             continue
         done += 1
-        spectrum = eigenvalues(assemble(p4_example(), s).entries, compute_residuals=False)
+        spectrum = eigenvalues(assemble(p4_example(), s).entries)
         match = match_multisets(spectrum.eigenvalues, p4_closed_form_spectrum(s), 1e-8)
         worst = max(worst, match.max_distance)
     report(2, "p4 closed-form spectrum over 50 random s", worst <= 1e-8, f"worst {worst:.2e}")
@@ -75,7 +75,7 @@ def test_03_region_theorems_on_corpus(corpus):
     violations = 0
     worst = float("inf")
     for net, s in corpus:
-        spectrum = eigenvalues(assemble(net, s).entries, compute_residuals=False)
+        spectrum = eigenvalues(assemble(net, s).entries)
         region = check_circles(spectrum, s)
         worst = min(worst, region.disk_margin, min(e.margin for e in region.circle_margins))
         if not region.all_pass:
@@ -139,13 +139,13 @@ def test_08_bipartite_symmetry():
     worst = 0.0
     for net in nets:
         s = random_frequency(rng)
-        spectrum = eigenvalues(assemble(net, s).entries, compute_residuals=False)
+        spectrum = eigenvalues(assemble(net, s).entries)
         result = check_bipartite_symmetry(net, spectrum)
         worst = max(worst, result.max_distance)
     k3 = complete_network(3)
     k3_na = (
         check_bipartite_symmetry(
-            k3, eigenvalues(assemble(k3, 2 + 1j).entries, compute_residuals=False)
+            k3, eigenvalues(assemble(k3, 2 + 1j).entries)
         )
         is None
     )
@@ -167,7 +167,7 @@ def test_09_gap_bound(solved_corpus):
             if not gr.satisfied:
                 violations.append((net.n, s, gr.bound, gr.lambda1_modulus))
     p4 = p4_example()
-    gr = gap_bound(p4, 1.0, eigenvalues(assemble(p4, 1.0).entries, compute_residuals=False))
+    gr = gap_bound(p4, 1.0, eigenvalues(assemble(p4, 1.0).entries))
     p4_ok = (
         gr.admissible
         and abs(gr.bound - 1 / 18) < 1e-12
@@ -203,7 +203,7 @@ def test_11_solver_vs_oracle():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-        mine = eigenvalues(a, compute_residuals=False)
+        mine = eigenvalues(a)
         oracle = charpoly_oracle(a)
         match = match_multisets(mine.eigenvalues, oracle.eigenvalues, 1e-8)
         worst = max(worst, match.max_distance)

@@ -3,9 +3,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from acnet_spectra import eigensolver, match_multisets, p4_example, run_all_checks
 from acnet_spectra.cli import main, parse_complex
 
 EIGENVALUE_LINE = re.compile(r"^  (-?\d\.\d{16}e[+-]\d+)([+-]\d\.\d{16}e[+-]\d+)i")
+RESIDUAL_COLUMN = re.compile(r"  residual=(\S+)$")
 
 
 def parse_spectrum_lines(out):
@@ -72,6 +74,11 @@ def test_spectrum_example_p4(capsys):
     expected = [-0.1 - 0.2j, 0.0, 2.0, 2.1 + 0.2j]
     assert len(values) == 4
     assert all(abs(a - b) < 1e-9 for a, b in zip(values, expected))
+    residual_values = [
+        float(m.group(1)) for m in map(RESIDUAL_COLUMN.search, out.split("\n")) if m
+    ]
+    assert len(residual_values) == 4
+    assert max(residual_values) <= 1e-8
 
 
 def test_spectrum_from_file(tmp_path, capsys):
@@ -160,11 +167,10 @@ def test_sweep_table(capsys):
     assert ratios[-1] >= 0.999
 
 
-def test_sweep_jobs_has_identical_output(capsys):
-    args = ["sweep", "--s1-list", "2,5,10", "--s2", "0.1"]
-    _, serial, _ = run(capsys, args)
-    _, parallel, _ = run(capsys, args + ["--jobs", "3"])
-    assert serial == parallel
+def test_sweep_has_no_jobs_option(capsys):
+    code, _, err = run(capsys, ["sweep", "--s1-list", "2,5,10", "--s2", "0.1", "--jobs", "2"])
+    assert code == 2
+    assert "unrecognized arguments: --jobs 2" in err
 
 
 def test_sweep_empty_list_is_usage_error(capsys):
@@ -233,3 +239,40 @@ def test_out_redirects_text(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert "converged: true" in target.read_text()
+
+
+def test_verify_and_plot_skip_residuals(tmp_path, capsys, monkeypatch):
+    def no_inverse_iteration(*args, **kwargs):
+        raise AssertionError("inverse iteration must not run")
+
+    monkeypatch.setattr(eigensolver, "_inverse_iteration", no_inverse_iteration)
+    report, spectrum, dual_spectrum = run_all_checks(p4_example(), 1 + 2j)
+    assert report.all_passed() and spectrum.converged and dual_spectrum.converged
+    code, out, _ = run(capsys, ["verify", "--example", "p4", "--s", "1+2i"])
+    assert code == 0 and "summary: all applicable checks passed" in out
+    svg = tmp_path / "fig.svg"
+    code, _, _ = run(capsys, ["plot", "--example", "p4", "--s", "1+2i", "--out", str(svg)])
+    assert code == 0 and svg.exists()
+
+
+def test_extreme_but_valid_element_scales(tmp_path, capsys):
+    # rho = 1e-200 at every vertex; the normalized matrix is [[1, -1], [-1, 1]]
+    path = tmp_path / "tiny.net"
+    path.write_text("vertices: a b\nedge a b L=1e-200 D=1e200\n")
+    code, out, err = run(capsys, ["verify", "--network", str(path), "--s", "1"])
+    assert code == 0, err
+    assert "summary: all applicable checks passed" in out
+    code, out, _ = run(capsys, ["spectrum", "--network", str(path), "--s", "1"])
+    assert code == 0
+    assert match_multisets(parse_spectrum_lines(out), [0.0, 2.0], 1e-12).ok
+
+
+def test_overflowing_admittance_is_input_error(tmp_path, capsys):
+    # L s^2 overflows, so rho(x) is not finite
+    path = tmp_path / "huge.net"
+    path.write_text("vertices: a b\nedge a b L=1e300\n")
+    code, out, err = run(capsys, ["verify", "--network", str(path), "--s", "1e200"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: vertex 'a'")
+    assert "Traceback" not in err

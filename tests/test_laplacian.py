@@ -158,7 +158,7 @@ def test_eigenpair_power_identity():
         s = random_frequency(rng)
         lap = assemble(net, s)
         table = admittance_table(net, s)
-        spectrum = eigenvalues(lap.entries, compute_residuals=False)
+        spectrum = eigenvalues(lap.entries)
         for lam in spectrum.eigenvalues[:: max(1, net.n // 2)]:
             v = eigenvector(lap.entries, lam)
             weighted = np.sum(np.abs(v) ** 2 * table.rho_vertex)
