@@ -48,7 +48,8 @@ class Tolerances:
     region     -- allowed undershoot of disk/circle/interval margins
     real_axis  -- |Im| threshold classifying an eigenvalue as real
     zero       -- |eigenvalue| threshold for the kernel / gap split
-    match      -- multiset matching distance (dual, bipartite, oracles)
+    match      -- matching distance: entrywise for the dual check, between
+                  multisets for bipartite symmetry and the oracles
     trace      -- per-vertex scale factor for the trace identities
     gap        -- allowed undershoot of the spectral-gap bound
     locate     -- nearest-eigenvalue search radius in the sweep
@@ -205,7 +206,11 @@ def check_zero_simple(spectrum: Spectrum, tols: Tolerances = Tolerances()) -> bo
 # ---------------------------------------------------------------------------
 
 def check_dual(spectrum: Spectrum, dual_spectrum: Spectrum, tols: Tolerances = Tolerances()) -> MatchResult:
-    """Conjugating every admittance conjugates the spectrum."""
+    """Conjugating every admittance conjugates the spectrum.
+
+    Compares two solved spectra, the second at conj s, so it tests that
+    the eigensolver commutes with conjugation.
+    """
     return match_multisets(
         np.conj(spectrum.eigenvalues), dual_spectrum.eigenvalues, tols.match
     )
@@ -369,19 +374,24 @@ class VerificationReport:
 
 def run_all_checks(
     net: Network, s, tols: Tolerances = Tolerances()
-) -> tuple[VerificationReport, Spectrum, Spectrum]:
+) -> tuple[VerificationReport, Spectrum]:
     """Run every verifier on a network at one frequency.
 
-    Returns the report plus the primal and dual spectra so callers can
-    inspect convergence.
+    Returns the report plus the spectrum so callers can inspect
+    convergence. The matrix is solved once. The dual network at s is the
+    network at conj s, and every matrix has the conjugate spectrum of its
+    conjugate, so the ``dual`` outcome checks the premise instead of
+    solving again: the Laplacian assembled at conj s must equal the
+    entrywise conjugate of the one at s within ``tols.match``. Whether the
+    solver itself commutes with conjugation is :func:`check_dual`'s job.
     """
     s = validate_frequency(s)
-    spectrum = eigenvalues(assemble(net, s).entries)
-    dual_spectrum = eigenvalues(assemble(net, s, dual=True).entries)
+    a = assemble(net, s).entries
+    spectrum = eigenvalues(a)
+    dual_distance = float(np.max(np.abs(assemble(net, s.conjugate()).entries - a.conj())))
     region = check_circles(spectrum, s, tols)
     trace = check_trace(spectrum, net.n, tols)
     zero_ok = check_zero_simple(spectrum, tols)
-    dual = check_dual(spectrum, dual_spectrum, tols)
     bip = check_bipartite_symmetry(net, spectrum, tols)
     gap = gap_bound(net, s, spectrum, tols)
 
@@ -418,7 +428,9 @@ def run_all_checks(
         ),
         CheckOutcome("trace", True, trace.passed, trace_margin),
         CheckOutcome("zero_simple", True, zero_ok, float(zero_margin)),
-        CheckOutcome("dual", True, dual.ok, tols.match - dual.max_distance),
+        CheckOutcome(
+            "dual", True, dual_distance <= tols.match, tols.match - dual_distance
+        ),
         CheckOutcome(
             "bipartite",
             bip is not None,
@@ -434,4 +446,4 @@ def run_all_checks(
             "" if gap.admissible else "admissibility condition not positive at this s",
         ),
     ]
-    return VerificationReport(tuple(outcomes)), spectrum, dual_spectrum
+    return VerificationReport(tuple(outcomes)), spectrum

@@ -104,6 +104,11 @@ def _load_network(cfg: RunConfig) -> Network:
     return parse_network(text)
 
 
+def _solve_frequency(cfg: RunConfig) -> complex:
+    """The dual network at s is the network at conj s."""
+    return cfg.frequency.conjugate() if cfg.dual else cfg.frequency
+
+
 def _spectrum_text(
     cfg: RunConfig, net: Network, spectrum: Spectrum, residual_norms
 ) -> str:
@@ -123,7 +128,7 @@ def _spectrum_text(
 
 def run_spectrum(cfg: RunConfig) -> tuple[int, str]:
     net = _load_network(cfg)
-    a = assemble(net, cfg.frequency, dual=cfg.dual).entries
+    a = assemble(net, _solve_frequency(cfg)).entries
     spectrum = eigenvalues(a)
     text = _spectrum_text(cfg, net, spectrum, residuals(a, spectrum.eigenvalues))
     return (EXIT_OK if spectrum.converged else EXIT_SOLVER), text
@@ -131,8 +136,8 @@ def run_spectrum(cfg: RunConfig) -> tuple[int, str]:
 
 def run_verify(cfg: RunConfig) -> tuple[int, str]:
     net = _load_network(cfg)
-    report, spectrum, dual_spectrum = run_all_checks(net, cfg.frequency, cfg.tolerances)
-    if not (spectrum.converged and dual_spectrum.converged):
+    report, spectrum = run_all_checks(net, cfg.frequency, cfg.tolerances)
+    if not spectrum.converged:
         return EXIT_SOLVER, "eigensolver did not converge\n"
     name = cfg.example or cfg.network_path
     header = (
@@ -164,7 +169,7 @@ def run_sweep(cfg: RunConfig) -> tuple[int, str]:
 
 def run_plot(cfg: RunConfig) -> tuple[int, str]:
     net = _load_network(cfg)
-    spectrum = eigenvalues(assemble(net, cfg.frequency, dual=cfg.dual).entries)
+    spectrum = eigenvalues(assemble(net, _solve_frequency(cfg)).entries)
     if not spectrum.converged:
         return EXIT_SOLVER, "eigensolver did not converge\n"
     svg = render_spectrum_svg(spectrum, cfg.frequency)

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "DEFLATION_TOL",
-    "MATCH_TOL",
     "MatchResult",
     "RESIDUAL_TOL",
     "Spectrum",
@@ -35,7 +34,6 @@ __all__ = [
 
 DEFLATION_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
-MATCH_TOL = 1e-8
 _SEED = 0x5EED  # fixed so inverse-iteration perturbations are reproducible
 
 
@@ -372,7 +370,7 @@ class MatchResult:
     pairs: tuple[tuple[int, int], ...]
 
 
-def match_multisets(a, b, tol: float = MATCH_TOL) -> MatchResult:
+def match_multisets(a, b, tol: float) -> MatchResult:
     """Pair up two equal-length complex multisets, closest pairs first.
 
     Succeeds when every matched pair lies within ``tol``. Greedy

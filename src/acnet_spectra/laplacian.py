@@ -6,8 +6,10 @@ The operator acts on functions f on the vertex set as
     f(x)  -  (1 / rho(x)) * sum_y f(y) rho_xy
 
 so its matrix has unit diagonal, ``-rho_xy / rho(x)`` off the diagonal on
-edges, zeros elsewhere, and zero row sums. The dual variant replaces every
-admittance by its complex conjugate.
+edges, zeros elsewhere, and zero row sums. The dual network, with every
+admittance conjugated, needs no separate assembly: L, R and D are real, so
+rho_xy(conj s) = conj rho_xy(s), and the dual Laplacian at s is the
+Laplacian at conj s, the entrywise conjugate of the one at s.
 """
 
 from __future__ import annotations
@@ -35,26 +37,22 @@ class LaplacianMatrix:
     """Dense matrix of the normalized Laplacian at one frequency."""
 
     entries: np.ndarray
-    dual: bool = False
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
 
-def assemble(net: Network, s, dual: bool = False) -> LaplacianMatrix:
+def assemble(net: Network, s) -> LaplacianMatrix:
     """Build the normalized Laplacian of ``net`` at frequency ``s``.
 
-    With ``dual=True`` every admittance in the formula is conjugated,
-    which conjugates the matrix entrywise.
+    The dual Laplacian, with every admittance conjugated, is
+    ``assemble(net, s.conjugate())``.
     """
     s = validate_frequency(s)
     table = admittance_table(net, s)
     rho_edge = table.rho_edge
     rho_vertex = table.rho_vertex
-    if dual:
-        rho_edge = rho_edge.conj()
-        rho_vertex = rho_vertex.conj()
     # Re rho(x) > 0 holds in exact arithmetic for every valid network, but
     # extreme element scales or frequencies can underflow or overflow it.
     bad = np.flatnonzero((rho_vertex == 0) | ~np.isfinite(rho_vertex))
@@ -69,7 +67,7 @@ def assemble(net: Network, s, dual: bool = False) -> LaplacianMatrix:
     for k, e in enumerate(net.edges):
         a[e.u, e.v] = -rho_edge[k] / rho_vertex[e.u]
         a[e.v, e.u] = -rho_edge[k] / rho_vertex[e.v]
-    return LaplacianMatrix(a, dual)
+    return LaplacianMatrix(a)
 
 
 def apply(lap: LaplacianMatrix, f) -> np.ndarray:

@@ -62,6 +62,6 @@ def solved_corpus(corpus):
     out = []
     for net, s in corpus:
         spectrum = eigenvalues(assemble(net, s).entries)
-        dual_spectrum = eigenvalues(assemble(net, s, dual=True).entries)
+        dual_spectrum = eigenvalues(assemble(net, s.conjugate()).entries)
         out.append((net, s, spectrum, dual_spectrum))
     return out

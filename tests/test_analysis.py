@@ -26,8 +26,8 @@ from acnet_spectra import (
 from conftest import random_connected_network, random_frequency
 
 
-def solve(net, s, dual=False):
-    return eigenvalues(assemble(net, s, dual=dual).entries)
+def solve(net, s):
+    return eigenvalues(assemble(net, s).entries)
 
 
 def test_check_disk_p4():
@@ -116,7 +116,7 @@ def test_check_dual():
     net = p4_example()
     s = 1 + 2j
     spectrum = solve(net, s)
-    dual_spectrum = solve(net, s, dual=True)
+    dual_spectrum = solve(net, s.conjugate())
     result = check_dual(spectrum, dual_spectrum)
     assert result.ok
     expected = np.array([0.0, 2.0, -0.1 + 0.2j, 2.1 - 0.2j])
@@ -125,7 +125,7 @@ def test_check_dual():
     assert match_multisets(dual_spectrum.eigenvalues, expected, 1e-9).ok
 
     s_real = 1.7
-    result = check_dual(solve(net, s_real), solve(net, s_real, dual=True))
+    result = check_dual(solve(net, s_real), solve(net, s_real.conjugate()))
     assert result.ok and result.max_distance < 1e-12
 
 
@@ -219,8 +219,8 @@ def test_sharpness_location_failure_on_wrong_network():
 
 
 def test_run_all_checks_p4():
-    report, spectrum, dual_spectrum = run_all_checks(p4_example(), 1 + 2j)
-    assert spectrum.converged and dual_spectrum.converged
+    report, spectrum = run_all_checks(p4_example(), 1 + 2j)
+    assert spectrum.converged
     assert report.all_passed()
     by_name = {o.name: o for o in report.outcomes}
     assert not by_name["gap_bound"].applicable  # condition fails at 1+2i
@@ -233,7 +233,7 @@ def test_run_all_checks_p4():
 
 
 def test_run_all_checks_triangle():
-    report, _, _ = run_all_checks(complete_network(3), 2 + 1j)
+    report, _ = run_all_checks(complete_network(3), 2 + 1j)
     by_name = {o.name: o for o in report.outcomes}
     assert not by_name["bipartite"].applicable
     assert report.all_passed()
@@ -242,7 +242,7 @@ def test_run_all_checks_triangle():
 def test_run_all_checks_respects_tolerances():
     # an impossibly tight zero threshold flips zero_simple to failing
     tols = Tolerances(zero=1e-30)
-    report, _, _ = run_all_checks(p4_example(), 1 + 2j, tols)
+    report, _ = run_all_checks(p4_example(), 1 + 2j, tols)
     by_name = {o.name: o for o in report.outcomes}
     assert not by_name["zero_simple"].passed
     assert not report.all_passed()

@@ -3,7 +3,15 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from acnet_spectra import eigensolver, match_multisets, p4_example, run_all_checks
+from acnet_spectra import (
+    LaplacianMatrix,
+    analysis,
+    assemble,
+    eigensolver,
+    match_multisets,
+    p4_example,
+    run_all_checks,
+)
 from acnet_spectra.cli import main, parse_complex
 
 EIGENVALUE_LINE = re.compile(r"^  (-?\d\.\d{16}e[+-]\d+)([+-]\d\.\d{16}e[+-]\d+)i")
@@ -98,6 +106,15 @@ def test_spectrum_dual_conjugates(capsys):
     values = parse_spectrum_lines(out)
     expected = [-0.1 + 0.2j, 0.0, 2.0, 2.1 - 0.2j]
     assert all(abs(a - b) < 1e-9 for a, b in zip(values, expected))
+
+
+def test_spectrum_dual_is_conjugate_frequency(capsys):
+    _, dual_out, _ = run(capsys, ["spectrum", "--example", "p4", "--s", "1+2i", "--dual"])
+    _, conj_out, _ = run(capsys, ["spectrum", "--example", "p4", "--s", "1-2i"])
+    assert "s = 1.0000000000000000e+00+2.0000000000000000e+00i  (dual)" in dual_out
+    assert [line for line in dual_out.split("\n") if line.startswith("  ")] == [
+        line for line in conj_out.split("\n") if line.startswith("  ")
+    ]
 
 
 def test_exit_code_2_on_bad_frequency(capsys):
@@ -246,13 +263,50 @@ def test_verify_and_plot_skip_residuals(tmp_path, capsys, monkeypatch):
         raise AssertionError("inverse iteration must not run")
 
     monkeypatch.setattr(eigensolver, "_inverse_iteration", no_inverse_iteration)
-    report, spectrum, dual_spectrum = run_all_checks(p4_example(), 1 + 2j)
-    assert report.all_passed() and spectrum.converged and dual_spectrum.converged
+    report, spectrum = run_all_checks(p4_example(), 1 + 2j)
+    assert report.all_passed() and spectrum.converged
     code, out, _ = run(capsys, ["verify", "--example", "p4", "--s", "1+2i"])
     assert code == 0 and "summary: all applicable checks passed" in out
     svg = tmp_path / "fig.svg"
     code, _, _ = run(capsys, ["plot", "--example", "p4", "--s", "1+2i", "--out", str(svg)])
     assert code == 0 and svg.exists()
+
+
+def test_verify_solves_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigensolver.eigenvalues(a)
+
+    monkeypatch.setattr(analysis, "eigenvalues", counting)
+    code, _, _ = run(capsys, ["verify", "--example", "p4", "--s", "1+2i"])
+    assert code == 0 and len(calls) == 1
+    calls.clear()
+    report = run_all_checks(p4_example(), 1 + 2j)[0]
+    assert report.all_passed() and len(calls) == 1
+
+
+def test_dual_check_fails_on_bad_conjugate_assembly(capsys, monkeypatch):
+    # the matrix assembled at conj s is off by 1e-6 in one entry
+    s = 1 + 2j
+
+    def perturbed(net, freq):
+        lap = assemble(net, freq)
+        if freq != s.conjugate():
+            return lap
+        entries = lap.entries.copy()
+        entries[0, 1] += 1e-6
+        return LaplacianMatrix(entries)
+
+    monkeypatch.setattr(analysis, "assemble", perturbed)
+    report, _ = run_all_checks(p4_example(), s)
+    by_name = {o.name: o for o in report.outcomes}
+    assert [o.name for o in report.failures()] == ["dual"]
+    assert by_name["dual"].margin == pytest.approx(1e-8 - 1e-6, rel=1e-6)
+    code, out, _ = run(capsys, ["verify", "--example", "p4", "--s", "1+2i"])
+    assert code == 4
+    assert "check=dual pass=false margin=" in out
 
 
 def test_extreme_but_valid_element_scales(tmp_path, capsys):

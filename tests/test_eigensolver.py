@@ -201,4 +201,4 @@ def test_match_multisets():
     assert bad.max_distance == pytest.approx(0.1)
 
     with pytest.raises(ValueError, match="lengths differ"):
-        match_multisets([0, 1], [0])
+        match_multisets([0, 1], [0], 1e-9)
