@@ -46,17 +46,14 @@ from .eigensolver import (
     charpoly_coefficients,
     charpoly_oracle,
     eigenvalues,
-    eigenvector,
     match_multisets,
     residuals,
 )
 from .laplacian import (
     LaplacianMatrix,
-    apply,
     assemble,
     complex_power,
     format_complex,
-    format_matrix,
     green_residual,
 )
 from .network import (
@@ -73,7 +70,6 @@ from .network import (
     parse_network,
     path_network,
     serialize_network,
-    shortest_path,
 )
 from .svgfig import render_spectrum_svg
 
@@ -99,7 +95,6 @@ __all__ = [
     "TraceReport",
     "VerificationReport",
     "admittance_table",
-    "apply",
     "assemble",
     "bipartition",
     "charpoly_coefficients",
@@ -117,9 +112,7 @@ __all__ = [
     "diameter",
     "edge_admittance",
     "eigenvalues",
-    "eigenvector",
     "format_complex",
-    "format_matrix",
     "gap_bound",
     "gap_constants",
     "green_residual",
@@ -134,7 +127,6 @@ __all__ = [
     "run_all_checks",
     "serialize_network",
     "sharpness_sweep",
-    "shortest_path",
     "validate_frequency",
     "vertex_modulus_bound_margin",
 ]

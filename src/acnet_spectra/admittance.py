@@ -66,30 +66,16 @@ class AdmittanceTable:
     rho_edge: np.ndarray
     rho_vertex: np.ndarray
 
-    @property
-    def tau_edge(self) -> np.ndarray:
-        return self.rho_edge.real
-
-    @property
-    def sigma_edge(self) -> np.ndarray:
-        return self.rho_edge.imag
-
-    @property
-    def tau_vertex(self) -> np.ndarray:
-        return self.rho_vertex.real
-
-    @property
-    def sigma_vertex(self) -> np.ndarray:
-        return self.rho_vertex.imag
-
 
 def admittance_table(net: Network, s) -> AdmittanceTable:
     s = validate_frequency(s)
-    rho_edge = np.array([edge_admittance(e.L, e.R, e.D, s) for e in net.edges], dtype=complex)
+    # The formula of edge_admittance without its element checks, which the
+    # Network constructor has made. Scalar Python arithmetic, because NumPy's
+    # complex division rounds differently and would move printed digits.
+    rho_edge = np.array([s / (e.L * s * s + e.R * s + e.D) for e in net.edges], dtype=complex)
     rho_vertex = np.zeros(net.n, dtype=complex)
-    for k, e in enumerate(net.edges):
-        rho_vertex[e.u] += rho_edge[k]
-        rho_vertex[e.v] += rho_edge[k]
+    # interleaved endpoints [u0, v0, u1, v1, ...] keep the order of additions
+    np.add.at(rho_vertex, net.endpoints.ravel(), rho_edge.repeat(2))
     return AdmittanceTable(rho_edge, rho_vertex)
 
 
@@ -102,11 +88,9 @@ def modulus_bound_margin(table: AdmittanceTable, s) -> float:
 
 def _inverse_sums(net: Network) -> np.ndarray:
     """Per vertex, the sum of 1/(L+R+D) over its incident edges."""
+    w = 1.0 / np.array([e.L + e.R + e.D for e in net.edges])
     sums = np.zeros(net.n)
-    for e in net.edges:
-        w = 1.0 / (e.L + e.R + e.D)
-        sums[e.u] += w
-        sums[e.v] += w
+    np.add.at(sums, net.endpoints.ravel(), w.repeat(2))
     return sums
 
 

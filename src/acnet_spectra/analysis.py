@@ -9,7 +9,6 @@ and as machine-readable ``check=<name> pass=<bool> margin=<real>`` lines.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -63,9 +62,6 @@ class Tolerances:
     gap: float = 1e-10
     locate: float = 1e-6
 
-    def replace(self, **overrides) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
-
 
 # ---------------------------------------------------------------------------
 # eigenvalue regions
@@ -90,15 +86,12 @@ class CircleEntry:
     otherwise 'plus'/'minus' for the nearer of the two circles centered
     at (1, +|Im s|/Re s) and (1, -|Im s|/Re s). ``margin`` is the
     interval slack min(Re, 2 - Re) for real entries and radius minus
-    distance-to-nearer-center otherwise. ``im_sign_ok`` picks the circle
-    by the sign of Im lambda; it is informational, the pass decision
-    uses the circle union.
+    distance-to-nearer-center otherwise.
     """
 
     eigenvalue: complex
     classification: str
     margin: float
-    im_sign_ok: bool
 
 
 @dataclass(frozen=True)
@@ -121,23 +114,13 @@ def check_circles(spectrum: Spectrum, s, tols: Tolerances = Tolerances()) -> Reg
         lam = complex(lam)
         d_plus = abs(lam - center_plus)
         d_minus = abs(lam - center_minus)
-        in_plus = radius - d_plus >= -tols.region
-        in_minus = radius - d_minus >= -tols.region
-        interval_margin = min(lam.real, 2.0 - lam.real)
-        interval_ok = interval_margin >= -tols.region
         if abs(lam.imag) <= tols.real_axis:
             classification = "real"
-            margin = interval_margin
+            margin = min(lam.real, 2.0 - lam.real)
         else:
             classification = "plus" if d_plus <= d_minus else "minus"
             margin = radius - min(d_plus, d_minus)
-        if lam.imag > tols.real_axis:
-            im_sign_ok = in_plus
-        elif lam.imag < -tols.real_axis:
-            im_sign_ok = in_minus
-        else:
-            im_sign_ok = interval_ok
-        entries.append(CircleEntry(lam, classification, float(margin), im_sign_ok))
+        entries.append(CircleEntry(lam, classification, float(margin)))
     real_interval_ok = all(
         e.margin >= -tols.region for e in entries if e.classification == "real"
     )
@@ -313,7 +296,7 @@ def sharpness_sweep(
         distances = np.abs(spectrum.eigenvalues - target)
         nearest = int(np.argmin(distances))
         if distances[nearest] > tols.locate:
-            raise RuntimeError(
+            raise ValueError(
                 f"no eigenvalue within {tols.locate:g} of the tracked value "
                 f"at s = {s} (nearest is {distances[nearest]:.3e} away)"
             )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,9 +82,12 @@ def _parse_tolerances(pairs: list[str]) -> Tolerances:
                 + ", ".join(sorted(valid))
             )
         try:
-            overrides[name] = float(value)
+            number = float(value)
         except ValueError:
-            raise UsageError(f"bad --tol value {value!r}") from None
+            number = math.nan
+        if not (math.isfinite(number) and number >= 0.0):
+            raise UsageError(f"bad --tol value {value!r}")
+        overrides[name] = number
     return Tolerances(**overrides)
 
 

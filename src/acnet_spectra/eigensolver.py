@@ -27,7 +27,6 @@ __all__ = [
     "charpoly_coefficients",
     "charpoly_oracle",
     "eigenvalues",
-    "eigenvector",
     "match_multisets",
     "residuals",
 ]
@@ -226,15 +225,12 @@ def eigenvalues(a) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# eigenvectors via inverse iteration
+# residuals via inverse iteration
 # ---------------------------------------------------------------------------
 
-def _inverse_iteration(
-    a: np.ndarray,
-    lam: complex,
-    tol: float = RESIDUAL_TOL,
-    max_iterations: int = 50,
-) -> tuple[np.ndarray, float, bool]:
+def _inverse_iteration(a: np.ndarray, lam: complex) -> float:
+    """Smallest residual ||A v - lam v||_2 of a unit v reached by inverse
+    iteration at ``lam``, stopping once it is at most ``RESIDUAL_TOL``."""
     n = a.shape[0]
     rng = np.random.default_rng(_SEED)
     scale = max(1.0, abs(lam))
@@ -242,9 +238,9 @@ def _inverse_iteration(
     v = np.ones(n, dtype=complex)
     v += 1e-2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     v /= np.linalg.norm(v)
-    best_v, best_res = v, float("inf")
+    best_res = float("inf")
     eye = np.eye(n)
-    for _ in range(max_iterations):
+    for _ in range(50):
         try:
             with np.errstate(all="ignore"):
                 w = np.linalg.solve(a - shift * eye, v)
@@ -262,11 +258,10 @@ def _inverse_iteration(
             continue
         v = w / wnorm
         res = float(np.linalg.norm(a @ v - lam * v))
-        if res < best_res:
-            best_v, best_res = v.copy(), res
-        if res <= tol:
-            return v, res, True
-    return best_v, best_res, False
+        best_res = min(best_res, res)
+        if res <= RESIDUAL_TOL:
+            break
+    return best_res
 
 
 def residuals(a, values) -> np.ndarray:
@@ -278,23 +273,8 @@ def residuals(a, values) -> np.ndarray:
     a = _checked_square(a)
     out = np.zeros(len(values))
     for k, lam in enumerate(values):
-        _, out[k], _ = _inverse_iteration(a, lam)
+        out[k] = _inverse_iteration(a, lam)
     return out
-
-
-def eigenvector(a, lam: complex, tol: float = RESIDUAL_TOL, max_iterations: int = 50) -> np.ndarray:
-    """Unit eigenvector for an (approximately known) eigenvalue.
-
-    Raises :class:`ConvergenceError` if inverse iteration cannot push
-    the residual below ``tol`` within ``max_iterations`` solves.
-    """
-    a = _checked_square(a)
-    v, res, ok = _inverse_iteration(a, complex(lam), tol, max_iterations)
-    if not ok:
-        raise ConvergenceError(
-            f"inverse iteration stalled at residual {res:.3e} for eigenvalue {lam}"
-        )
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,9 @@ from .network import Network
 
 __all__ = [
     "LaplacianMatrix",
-    "apply",
     "assemble",
     "complex_power",
     "format_complex",
-    "format_matrix",
     "green_residual",
 ]
 
@@ -63,18 +61,11 @@ def assemble(net: Network, s) -> LaplacianMatrix:
             f"{format_complex(rho_vertex[x])} is zero or not finite at s = "
             f"{format_complex(s)}"
         )
+    u, v = net.endpoints.T
     a = np.eye(net.n, dtype=complex)
-    for k, e in enumerate(net.edges):
-        a[e.u, e.v] = -rho_edge[k] / rho_vertex[e.u]
-        a[e.v, e.u] = -rho_edge[k] / rho_vertex[e.v]
+    a[u, v] = -rho_edge / rho_vertex[u]
+    a[v, u] = -rho_edge / rho_vertex[v]
     return LaplacianMatrix(a)
-
-
-def apply(lap: LaplacianMatrix, f) -> np.ndarray:
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (lap.n,):
-        raise ValueError(f"expected a vector of length {lap.n}, got shape {f.shape}")
-    return lap.entries @ f
 
 
 def green_residual(net: Network, s, f, g) -> float:
@@ -92,10 +83,9 @@ def green_residual(net: Network, s, f, g) -> float:
     table = admittance_table(net, s)
     lap = assemble(net, s)
     lhs = np.sum((lap.entries @ f) * g * table.rho_vertex)
-    rhs = 0.0 + 0.0j
-    for k, e in enumerate(net.edges):
-        # each edge stands for both ordered pairs, cancelling the 1/2
-        rhs += (f[e.v] - f[e.u]) * (g[e.v] - g[e.u]) * table.rho_edge[k]
+    u, v = net.endpoints.T
+    # each edge stands for both ordered pairs, cancelling the 1/2
+    rhs = np.sum((f[v] - f[u]) * (g[v] - g[u]) * table.rho_edge)
     return abs(lhs - rhs)
 
 
@@ -106,10 +96,8 @@ def complex_power(net: Network, s, f) -> complex:
         raise ValueError(f"expected a vector of length {net.n}")
     s = validate_frequency(s)
     table = admittance_table(net, s)
-    total = 0.0 + 0.0j
-    for k, e in enumerate(net.edges):
-        total += abs(f[e.v] - f[e.u]) ** 2 * table.rho_edge[k]
-    return complex(total)
+    u, v = net.endpoints.T
+    return complex(np.sum(np.abs(f[v] - f[u]) ** 2 * table.rho_edge))
 
 
 def format_complex(z: complex) -> str:
@@ -117,9 +105,3 @@ def format_complex(z: complex) -> str:
     z = complex(z)
     sign = "+" if z.imag >= 0 or z.imag != z.imag else "-"
     return f"{z.real:.16e}{sign}{abs(z.imag):.16e}i"
-
-
-def format_matrix(lap: LaplacianMatrix | np.ndarray) -> str:
-    """Debug dump: one row per line, entries space-separated."""
-    a = lap.entries if isinstance(lap, LaplacianMatrix) else np.asarray(lap, dtype=complex)
-    return "\n".join(" ".join(format_complex(z) for z in row) for row in a) + "\n"

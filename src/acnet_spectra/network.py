@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Bipartition",
@@ -27,18 +29,22 @@ __all__ = [
     "parse_network",
     "path_network",
     "serialize_network",
-    "shortest_path",
 ]
 
 DEFAULT_ELEMENTS = (0.0, 1.0, 0.0)  # a plain unit resistor
 
 
 class NetworkError(ValueError):
-    """Malformed network file or invalid network data."""
+    """Malformed network file or invalid network data.
 
-    def __init__(self, message: str, line: int | None = None):
+    ``edge`` is the index of the offending edge when the error is about
+    one edge, else None; ``parse_network`` maps it to a line number.
+    """
+
+    def __init__(self, message: str, line: int | None = None, edge: int | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
         self.line = line
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -60,26 +66,20 @@ class Bipartition:
     part_minus: tuple[int, ...]
 
 
-def _element_error(edge_label: str, L: float, R: float, D: float) -> str | None:
-    for value in (L, R, D):
-        if not math.isfinite(value) or value < 0.0:
-            return f"edge {edge_label}: element values must be non-negative finite reals"
-    if L + R + D == 0.0:
-        return f"all-zero edge (L=R=D=0) {edge_label}"
-    return None
-
-
 @dataclass(frozen=True)
 class Network:
     """Connected loop-free graph whose edges carry (L, R, D) values.
 
-    Immutable after construction; the constructor validates every
-    structural invariant (label uniqueness, no loops, no duplicate
-    edges, positive element sums, connectivity).
+    Immutable after construction. The constructor is the one validator of
+    network data, files included: label uniqueness and syntax, no loops,
+    no duplicate edges, non-negative finite elements with a positive sum,
+    connectivity. ``endpoints`` is the (m, 2) integer array of edge
+    endpoints ``(u, v)``, in edge order.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+    endpoints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(str(v) for v in self.vertices))
@@ -89,32 +89,41 @@ class Network:
         )
         object.__setattr__(self, "edges", normalized)
         self._validate()
+        endpoints = np.array([(e.u, e.v) for e in normalized], dtype=np.intp).reshape(-1, 2)
+        endpoints.flags.writeable = False
+        object.__setattr__(self, "endpoints", endpoints)
 
     def _validate(self) -> None:
         n = len(self.vertices)
         if n < 2:
             raise NetworkError("a network needs at least two vertices")
-        if len(set(self.vertices)) != n:
-            raise NetworkError("vertex labels must be unique")
+        labels: set[str] = set()
         for label in self.vertices:
             if not label or any(ch.isspace() for ch in label) or "#" in label or "=" in label:
                 raise NetworkError(f"invalid vertex label {label!r}")
+            if label in labels:
+                raise NetworkError(f"duplicate vertex label {label!r}")
+            labels.add(label)
         seen_pairs: set[frozenset[int]] = set()
-        for e in self.edges:
+        for k, e in enumerate(self.edges):
             for idx in (e.u, e.v):
                 if not 0 <= idx < n:
-                    raise NetworkError(f"edge endpoint index {idx} out of range")
+                    raise NetworkError(f"edge endpoint index {idx} out of range", edge=k)
             pair_label = f"between {self.vertices[e.u]!r} and {self.vertices[e.v]!r}"
             if e.u == e.v:
-                raise NetworkError(f"loop edge at {self.vertices[e.u]!r}")
+                raise NetworkError(f"loop edge at {self.vertices[e.u]!r}", edge=k)
             pair = frozenset((e.u, e.v))
             if pair in seen_pairs:
-                raise NetworkError(f"duplicate edge {pair_label}")
+                raise NetworkError(f"duplicate edge {pair_label}", edge=k)
             seen_pairs.add(pair)
-            problem = _element_error(pair_label, e.L, e.R, e.D)
-            if problem:
-                raise NetworkError(problem)
-        dist = _bfs_distances(self, 0)
+            if not all(math.isfinite(x) and x >= 0.0 for x in (e.L, e.R, e.D)):
+                raise NetworkError(
+                    f"edge {pair_label}: element values must be non-negative finite reals",
+                    edge=k,
+                )
+            if e.L + e.R + e.D == 0.0:
+                raise NetworkError(f"all-zero edge (L=R=D=0) {pair_label}", edge=k)
+        dist = _bfs_distances(self.adjacency(), 0)
         for idx, d in enumerate(dist):
             if d < 0:
                 raise NetworkError(
@@ -125,12 +134,6 @@ class Network:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.vertices.index(label)
-        except ValueError:
-            raise NetworkError(f"unknown vertex label {label!r}") from None
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Neighbor lists as (vertex index, edge index) pairs."""
@@ -157,15 +160,17 @@ def parse_network(text: str) -> Network:
         edge <label> <label> [L=<real>] [R=<real>] [D=<real>]
 
     Element keys may appear in any order; omitted keys default to 0.
-    Raises :class:`NetworkError` with the offending line number for
-    syntax problems, loops, duplicate edges, all-zero edges, unknown
-    labels, or a disconnected graph.
+    This function checks the text: directives, syntax, unknown labels,
+    repeated keys and numbers. The :class:`Network` constructor checks
+    the data. Either way the :class:`NetworkError` carries the line
+    number of the offending edge, or of the ``vertices:`` line for
+    errors about the vertex set or connectivity.
     """
     vertices: list[str] = []
     index: dict[str, int] = {}
     edges: list[Edge] = []
-    seen_pairs: set[frozenset[int]] = set()
-    got_vertices = False
+    edge_lines: list[int] = []
+    vertices_line: int | None = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -174,21 +179,13 @@ def parse_network(text: str) -> Network:
         tokens = line.split()
         head = tokens[0]
         if head == "vertices:":
-            if got_vertices:
+            if vertices_line is not None:
                 raise NetworkError("repeated 'vertices:' line", lineno)
-            labels = tokens[1:]
-            if len(labels) < 2:
-                raise NetworkError("need at least two vertex labels", lineno)
-            for label in labels:
-                if "=" in label:
-                    raise NetworkError(f"invalid vertex label {label!r}", lineno)
-                if label in index:
-                    raise NetworkError(f"duplicate vertex label {label!r}", lineno)
-                index[label] = len(vertices)
-                vertices.append(label)
-            got_vertices = True
+            vertices = tokens[1:]
+            index = {label: k for k, label in enumerate(vertices)}
+            vertices_line = lineno
         elif head == "edge":
-            if not got_vertices:
+            if vertices_line is None:
                 raise NetworkError("'edge' line before 'vertices:' line", lineno)
             if len(tokens) < 3:
                 raise NetworkError("edge needs two endpoint labels", lineno)
@@ -196,8 +193,6 @@ def parse_network(text: str) -> Network:
             for label in (a, b):
                 if label not in index:
                     raise NetworkError(f"unknown vertex label {label!r}", lineno)
-            if a == b:
-                raise NetworkError(f"loop edge at {a!r}", lineno)
             elements = {"L": 0.0, "R": 0.0, "D": 0.0}
             given: set[str] = set()
             for token in tokens[3:]:
@@ -211,22 +206,18 @@ def parse_network(text: str) -> Network:
                 except ValueError:
                     raise NetworkError(f"bad numeric value {value!r}", lineno) from None
                 given.add(key)
-            pair = frozenset((index[a], index[b]))
-            if pair in seen_pairs:
-                raise NetworkError(f"duplicate edge between {a!r} and {b!r}", lineno)
-            seen_pairs.add(pair)
-            problem = _element_error(
-                f"between {a!r} and {b!r}", elements["L"], elements["R"], elements["D"]
-            )
-            if problem:
-                raise NetworkError(problem, lineno)
             edges.append(Edge(index[a], index[b], elements["L"], elements["R"], elements["D"]))
+            edge_lines.append(lineno)
         else:
             raise NetworkError(f"unrecognized directive {head!r}", lineno)
 
-    if not got_vertices:
+    if vertices_line is None:
         raise NetworkError("missing 'vertices:' line")
-    return Network(tuple(vertices), tuple(edges))
+    try:
+        return Network(tuple(vertices), tuple(edges))
+    except NetworkError as exc:
+        line = vertices_line if exc.edge is None else edge_lines[exc.edge]
+        raise NetworkError(str(exc), line, exc.edge) from None
 
 
 def serialize_network(net: Network) -> str:
@@ -243,10 +234,9 @@ def serialize_network(net: Network) -> str:
 # graph metrics
 # ---------------------------------------------------------------------------
 
-def _bfs_distances(net: Network, source: int) -> list[int]:
-    dist = [-1] * net.n
+def _bfs_distances(adj: list[list[tuple[int, int]]], source: int) -> list[int]:
+    dist = [-1] * len(adj)
     dist[source] = 0
-    adj = net.adjacency()
     queue = deque([source])
     while queue:
         x = queue.popleft()
@@ -259,7 +249,8 @@ def _bfs_distances(net: Network, source: int) -> list[int]:
 
 def diameter(net: Network) -> int:
     """Maximum over vertex pairs of the shortest-path edge count."""
-    return max(max(_bfs_distances(net, src)) for src in range(net.n))
+    adj = net.adjacency()
+    return max(max(_bfs_distances(adj, src)) for src in range(net.n))
 
 
 def bipartition(net: Network) -> Bipartition | None:
@@ -279,29 +270,6 @@ def bipartition(net: Network) -> Bipartition | None:
     plus = tuple(i for i in range(net.n) if color[i] == 0)
     minus = tuple(i for i in range(net.n) if color[i] == 1)
     return Bipartition(plus, minus)
-
-
-def shortest_path(net: Network, a: int | str, b: int | str) -> list[int]:
-    """A minimal-edge-count path from a to b, endpoints included.
-
-    Ties are broken toward the lowest next vertex index, so the result
-    is the lexicographically smallest shortest path.
-    """
-    start = net.index(a) if isinstance(a, str) else int(a)
-    goal = net.index(b) if isinstance(b, str) else int(b)
-    for idx in (start, goal):
-        if not 0 <= idx < net.n:
-            raise NetworkError(f"vertex index {idx} out of range")
-    dist_to_goal = _bfs_distances(net, goal)
-    adj = net.adjacency()
-    path = [start]
-    current = start
-    while current != goal:
-        current = next(
-            y for y, _ in adj[current] if dist_to_goal[y] == dist_to_goal[current] - 1
-        )
-        path.append(current)
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ asserting, so a full run yields a compact scoreboard.
 
 import time
 
+import mpmath
 import numpy as np
 
 from acnet_spectra import (
+    Tolerances,
     assemble,
     charpoly_oracle,
     check_bipartite_symmetry,
@@ -233,4 +235,51 @@ def test_12_real_frequency_degeneration(solved_corpus):
         "real frequencies give real spectra in [0, 2]",
         count > 0 and worst_imag <= 1e-8 and inside,
         f"{count} real-frequency instances, worst |Im| {worst_imag:.2e}",
+    )
+
+
+def test_13_existence_witnesses():
+    # p4's spectrum is {0, 2, mu, 2 - mu} with mu = 1/(1 + s^2): some
+    # eigenvalue has Re < 0 iff Re mu is outside [0, 2], and some has
+    # modulus above 2 iff max(|mu|, |2 - mu|) > 2
+    zero = Tolerances().zero
+    checked = negative = large = 0
+    mismatches = []
+    for re in np.linspace(0.05, 3.0, 20):
+        for im in np.linspace(-5.0, 5.0, 41):
+            s = complex(re, im)
+            mu = 1.0 / (1.0 + s * s)
+            big = max(abs(mu), abs(2.0 - mu)) - 2.0
+            if min(abs(mu.real), abs(mu.real - 2.0), abs(big)) < 1e-6:
+                continue  # too close to a boundary to call
+            ev = eigenvalues(assemble(p4_example(), s).entries).eigenvalues
+            expected = (not 0.0 <= mu.real <= 2.0, big > 0.0)
+            solved = (bool(ev.real.min() < -zero), bool(np.abs(ev).max() > 2.0 + zero))
+            checked += 1
+            negative += expected[0]
+            large += expected[1]
+            if solved != expected:
+                mismatches.append(s)
+
+    # one witness of each kind, pinned at 50 digits: the solved spectrum
+    # holds mu, and mu has Re < 0 at s = 1+2i and modulus above 2 at s = 0.1+i
+    def solved_distance(s, mu):
+        ev = eigenvalues(assemble(p4_example(), s).entries).eigenvalues
+        return min(float(abs(mpmath.mpc(complex(lam)) - mu)) for lam in ev)
+
+    with mpmath.workdps(50):
+        mu_negative = 1 / (1 + mpmath.mpc(1, 2) ** 2)
+        mu_large = 1 / (1 + mpmath.mpc(0.1, 1) ** 2)
+        witnesses_ok = (
+            mu_negative.real < 0
+            and abs(mu_large) > 2
+            and solved_distance(1 + 2j, mu_negative) <= 1e-12
+            and solved_distance(0.1 + 1j, mu_large) <= 1e-12
+        )
+    report(
+        13,
+        "p4 has eigenvalues with Re < 0 and with modulus > 2",
+        not mismatches and negative > 0 and large > 0 and witnesses_ok,
+        f"{checked} grid points, {negative} with Re < 0, {large} with modulus > 2, "
+        f"mismatches {mismatches[:3]}",
     )

@@ -166,9 +166,16 @@ def test_verify_exit_code_4_on_failure(capsys):
 
 
 def test_verify_rejects_unknown_tolerance(capsys):
-    code, _, err = run(capsys, ["verify", "--example", "p4", "--s", "1", "--tol", "nope=1"])
-    assert code == 2
-    assert "bad --tol" in err
+    for args in (
+        ["verify", "--example", "p4", "--s", "1", "--tol", "nope=1"],
+        ["verify", "--example", "p4", "--s", "1+2i", "--tol", "region=nan"],
+        ["verify", "--example", "p4", "--s", "1", "--tol", "zero=inf"],
+        ["verify", "--example", "p4", "--s", "1", "--tol", "gap=-1e-10"],
+        ["sweep", "--s1-list", "2,5", "--tol", "locate=nan"],
+    ):
+        code, out, err = run(capsys, args)
+        assert code == 2, args
+        assert out == "" and "bad --tol" in err
 
 
 def test_sweep_table(capsys):
@@ -207,6 +214,18 @@ def test_sweep_user_network_needs_flag(tmp_path, capsys):
         ["sweep", "--network", str(path), "--s1-list", "2", "--s2", "0.1", "--sweep-any"],
     )
     assert code == 0 and "ratio" in out.split("\n")[0]
+
+
+def test_sweep_locator_failure_is_input_error(tmp_path, capsys):
+    # a triangle has no eigenvalue near the tracked path value
+    path = tmp_path / "tri.net"
+    path.write_text("vertices: a b c\nedge a b R=1\nedge b c R=1\nedge a c L=1\n")
+    code, out, err = run(
+        capsys, ["sweep", "--network", str(path), "--sweep-any", "--s1-list", "1,2"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no eigenvalue within 1e-06")
 
 
 def test_plot_writes_wellformed_svg(tmp_path, capsys):

@@ -2,24 +2,16 @@ import numpy as np
 import pytest
 
 from acnet_spectra import (
-    ConvergenceError,
     assemble,
     charpoly_coefficients,
     charpoly_oracle,
     eigenvalues,
-    eigenvector,
     match_multisets,
     p4_example,
     residuals,
 )
 
 P4_SPECTRUM_1_2I = np.array([0.0, 2.0, -0.1 - 0.2j, 2.1 + 0.2j])
-
-
-def _collinear(v, w, tol=1e-8):
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    return abs(abs(np.vdot(v, w)) - np.linalg.norm(v) * np.linalg.norm(w)) < tol
 
 
 def random_matrix(rng, n):
@@ -122,34 +114,6 @@ def test_permutation_like_matrix_needs_exceptional_shifts():
     roots = np.exp(2j * np.pi * np.arange(3) / 3)
     assert spectrum.converged
     assert match_multisets(spectrum.eigenvalues, roots, 1e-10).ok
-
-
-def test_eigenvector_p4():
-    a = assemble(p4_example(), 1 + 2j).entries
-    v2 = eigenvector(a, 2.0)
-    assert _collinear(v2, [-1, 1, -1, 1])
-    v0 = eigenvector(a, 0.0)
-    assert _collinear(v0, [1, 1, 1, 1])
-    s = 1 + 2j
-    lam = 1 / (1 + s * s)
-    q = s * s / (1 + s * s)
-    v1 = eigenvector(a, lam)
-    assert _collinear(v1, [-1, -q, q, 1])
-    assert abs(np.linalg.norm(v1) - 1.0) < 1e-12
-    assert np.linalg.norm(a @ v1 - lam * v1) <= 1e-8
-
-
-def test_eigenvector_exact_multiple_eigenvalue():
-    # defective-free multiple eigenvalue: any unit vector works
-    v = eigenvector(np.eye(3), 1.0)
-    assert np.linalg.norm(np.eye(3) @ v - v) <= 1e-12
-
-
-def test_eigenvector_unconverged_raises():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent
-    with pytest.raises(ConvergenceError):
-        # lambda far from any eigenvalue cannot converge
-        eigenvector(a, 5.0, max_iterations=3)
 
 
 def test_charpoly_coefficients_closed_form():

@@ -15,7 +15,6 @@ from acnet_spectra import (
     parse_network,
     path_network,
     serialize_network,
-    shortest_path,
 )
 from conftest import random_connected_network
 
@@ -70,8 +69,9 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
 
 def test_parse_rejects_disconnected():
     text = "vertices: a b c d\nedge a b R=1\nedge c d R=1"
-    with pytest.raises(NetworkError, match="disconnected"):
+    with pytest.raises(NetworkError, match="disconnected") as err:
         parse_network(text)
+    assert err.value.line == 1  # the vertices: line
 
 
 def test_parse_rejects_missing_vertices_line():
@@ -159,31 +159,7 @@ def test_bipartition_against_bruteforce():
                 assert (e.u in bip.part_plus) != (e.v in bip.part_plus)
 
 
-def test_shortest_path():
-    p4 = p4_example()
-    assert shortest_path(p4, "x1", "x4") == [0, 1, 2, 3]
-    assert shortest_path(p4, 2, 2) == [2]
-    # opposite corners of a 4-cycle: tie broken toward the lower index
-    assert shortest_path(cycle_network(4), 0, 2) == [0, 1, 2]
-
-
-def test_shortest_path_is_geodesic():
-    rng = np.random.default_rng(14)
-    for _ in range(20):
-        net = random_connected_network(rng, n_max=8)
-        a, b = rng.integers(0, net.n, size=2)
-        path = shortest_path(net, int(a), int(b))
-        assert path[0] == a and path[-1] == b
-        pairs = {frozenset((e.u, e.v)) for e in net.edges}
-        for x, y in zip(path, path[1:]):
-            assert frozenset((x, y)) in pairs
-        assert len(set(path)) == len(path)
-
-
 def test_adjacency_is_sorted_and_immutables_shared():
     net = p4_example()
     adj = net.adjacency()
     assert adj[1] == [(0, 0), (2, 1)]
-    assert net.index("x3") == 2
-    with pytest.raises(NetworkError):
-        net.index("nope")
