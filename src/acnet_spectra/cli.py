@@ -10,17 +10,16 @@ import argparse
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .admittance import validate_frequency
 from .analysis import Tolerances, run_all_checks, sharpness_sweep
 from .eigensolver import ConvergenceError, Spectrum, eigenvalues, residuals
 from .laplacian import assemble, format_complex
-from .network import Network, NetworkError, p4_example, parse_network
+from .network import Network, p4_example, parse_network
 from .svgfig import render_spectrum_svg
 
-__all__ = ["RunConfig", "main", "entry", "parse_complex"]
+__all__ = ["main", "entry", "parse_complex"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -53,20 +52,6 @@ def parse_complex(text: str) -> complex:
     return complex(re, im)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    network_path: str | None = None
-    example: str | None = None
-    frequency: complex | None = None
-    dual: bool = False
-    sweep_s1: tuple[float, ...] = ()
-    sweep_s2: float = 0.0
-    sweep_any: bool = False
-    output_path: str | None = None
-    tolerances: Tolerances = dataclasses.field(default_factory=Tolerances)
-
-
 class UsageError(ValueError):
     pass
 
@@ -91,34 +76,29 @@ def _parse_tolerances(pairs: list[str]) -> Tolerances:
     return Tolerances(**overrides)
 
 
-def _load_network(cfg: RunConfig) -> Network:
-    if (cfg.network_path is None) == (cfg.example is None):
+def _load_network(args: argparse.Namespace) -> Network:
+    if (args.network is None) == (args.example is None):
         raise UsageError("exactly one of --network or --example is required")
-    if cfg.example is not None:
-        try:
-            return EXAMPLES[cfg.example]()
-        except KeyError:
-            raise UsageError(
-                f"unknown example {cfg.example!r}; choices: " + ", ".join(sorted(EXAMPLES))
-            ) from None
+    if args.example is not None:
+        return EXAMPLES[args.example]()
     try:
-        text = Path(cfg.network_path).read_text(encoding="utf-8")
+        text = Path(args.network).read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read {cfg.network_path}: {exc}") from None
+        raise UsageError(f"cannot read {args.network}: {exc}") from None
     return parse_network(text)
 
 
-def _solve_frequency(cfg: RunConfig) -> complex:
+def _solve_frequency(args: argparse.Namespace) -> complex:
     """The dual network at s is the network at conj s."""
-    return cfg.frequency.conjugate() if cfg.dual else cfg.frequency
+    return args.s.conjugate() if args.dual else args.s
 
 
 def _spectrum_text(
-    cfg: RunConfig, net: Network, spectrum: Spectrum, residual_norms
+    args: argparse.Namespace, net: Network, spectrum: Spectrum, residual_norms
 ) -> str:
     lines = [
         f"vertices: {net.n}  edges: {len(net.edges)}",
-        f"s = {format_complex(cfg.frequency)}" + ("  (dual)" if cfg.dual else ""),
+        f"s = {format_complex(args.s)}" + ("  (dual)" if args.dual else ""),
         f"converged: {'true' if spectrum.converged else 'false'}",
         "eigenvalues (by real part, then imaginary):",
     ]
@@ -130,39 +110,37 @@ def _spectrum_text(
     return "\n".join(lines) + "\n"
 
 
-def run_spectrum(cfg: RunConfig) -> tuple[int, str]:
-    net = _load_network(cfg)
-    a = assemble(net, _solve_frequency(cfg)).entries
+def run_spectrum(args: argparse.Namespace) -> tuple[int, str]:
+    net = _load_network(args)
+    a = assemble(net, _solve_frequency(args)).entries
     spectrum = eigenvalues(a)
-    text = _spectrum_text(cfg, net, spectrum, residuals(a, spectrum.eigenvalues))
+    text = _spectrum_text(args, net, spectrum, residuals(a, spectrum.eigenvalues))
     return (EXIT_OK if spectrum.converged else EXIT_SOLVER), text
 
 
-def run_verify(cfg: RunConfig) -> tuple[int, str]:
-    net = _load_network(cfg)
-    report, spectrum = run_all_checks(net, cfg.frequency, cfg.tolerances)
+def run_verify(args: argparse.Namespace) -> tuple[int, str]:
+    net = _load_network(args)
+    report, spectrum = run_all_checks(net, args.s, args.tol)
     if not spectrum.converged:
         return EXIT_SOLVER, "eigensolver did not converge\n"
-    name = cfg.example or cfg.network_path
+    name = args.example or args.network
     header = (
-        f"verify {name} at s = {format_complex(cfg.frequency)} "
+        f"verify {name} at s = {format_complex(args.s)} "
         f"(n={net.n}, {len(net.edges)} edges)"
     )
     text = "\n".join([header, report.to_text(), "", report.to_machine()]) + "\n"
     return (EXIT_OK if report.all_passed() else EXIT_VERIFY), text
 
 
-def run_sweep(cfg: RunConfig) -> tuple[int, str]:
-    if not cfg.sweep_s1:
+def run_sweep(args: argparse.Namespace) -> tuple[int, str]:
+    if not args.s1_list:
         raise UsageError("sweep needs at least one --s1 value")
     net = None
-    if cfg.network_path is not None:
-        if not cfg.sweep_any:
+    if args.network is not None:
+        if not args.sweep_any:
             raise UsageError("sweeping a user network requires --sweep-any")
-        net = _load_network(cfg)
-    elif cfg.example not in (None, "p4"):
-        raise UsageError("sweep supports --example p4 or --sweep-any with --network")
-    points = sharpness_sweep(list(cfg.sweep_s1), cfg.sweep_s2, net, cfg.tolerances)
+        net = _load_network(args)
+    points = sharpness_sweep(args.s1_list, args.s2, net, args.tol)
     lines = ["s1 s2 eigenvalue ratio"]
     for p in points:
         lines.append(
@@ -171,13 +149,13 @@ def run_sweep(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def run_plot(cfg: RunConfig) -> tuple[int, str]:
-    net = _load_network(cfg)
-    spectrum = eigenvalues(assemble(net, _solve_frequency(cfg)).entries)
+def run_plot(args: argparse.Namespace) -> tuple[int, str]:
+    net = _load_network(args)
+    spectrum = eigenvalues(assemble(net, _solve_frequency(args)).entries)
     if not spectrum.converged:
         return EXIT_SOLVER, "eigensolver did not converge\n"
-    svg = render_spectrum_svg(spectrum, cfg.frequency)
-    out = cfg.output_path or "spectrum.svg"
+    svg = render_spectrum_svg(spectrum, args.s)
+    out = args.out or "spectrum.svg"
     Path(out).write_text(svg, encoding="utf-8")
     return EXIT_OK, f"wrote {out}\n"
 
@@ -238,28 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.network_path = args.network
-    cfg.example = args.example
-    cfg.output_path = args.out
-    cfg.tolerances = _parse_tolerances(args.tol)
-    cfg.dual = getattr(args, "dual", False)
-    if hasattr(args, "s"):
-        try:
-            cfg.frequency = validate_frequency(parse_complex(args.s))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if args.command == "sweep":
-        raw = [tok for tok in args.s1_list.split(",") if tok.strip()]
-        try:
-            cfg.sweep_s1 = tuple(float(tok) for tok in raw)
-        except ValueError:
-            raise UsageError(f"bad --s1-list {args.s1_list!r}") from None
-        cfg.sweep_s2 = args.s2
-        cfg.sweep_any = args.sweep_any
-    return cfg
-
+# Built once per process: each parse_args call fills a fresh Namespace, and
+# the ``append`` action copies the ``--tol`` default before appending, so no
+# call sees the arguments of an earlier one.
+_PARSER = build_parser()
 
 _COMMANDS = {
     "spectrum": run_spectrum,
@@ -270,25 +230,28 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        code, text = _COMMANDS[cfg.command](cfg)
-    except (UsageError, NetworkError, ValueError) as exc:
+        args.tol = _parse_tolerances(args.tol)
+        if "s" in args:
+            args.s = validate_frequency(parse_complex(args.s))
+        if args.command == "sweep":
+            try:
+                args.s1_list = [float(tok) for tok in args.s1_list.split(",") if tok.strip()]
+            except ValueError:
+                raise UsageError(f"bad --s1-list {args.s1_list!r}") from None
+        code, text = _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if cfg.command != "plot" and cfg.output_path:
-        Path(cfg.output_path).write_text(text, encoding="utf-8")
+    if args.command != "plot" and args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     if code == EXIT_VERIFY:

@@ -2,7 +2,9 @@
 
 Hand-rolled SVG keeps the output byte-reproducible: same input, same
 file. Mathematical orientation (y up), viewport fitted to the disk and
-the twin circles plus a 10% margin, unit ticks on both axes.
+the twin circles plus a 10% margin, ticks on both axes: one per unit,
+or one per the smallest power of ten that keeps an axis at or below
+_MAX_TICKS ticks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .laplacian import format_complex
 __all__ = ["render_spectrum_svg"]
 
 _CANVAS = 640.0  # pixel width of the long side
+_MAX_TICKS = 10_000  # per axis; |s| / Re s sets the span
 
 _DISK_STYLE = 'fill="#c9d9f6" fill-opacity="0.65" stroke="#3b62c4" stroke-width="1.5"'
 _CIRCLE_STYLE = 'fill="#cdeac8" fill-opacity="0.5" stroke="#3f9e37" stroke-width="1.5"'
@@ -28,6 +31,14 @@ _DOT_STYLE = 'fill="#d21f1f"'
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
+
+
+def _ticks(lo: float, hi: float) -> range:
+    """Multiples of the least power of ten (from 1) with at most _MAX_TICKS in [lo, hi]."""
+    step = 1
+    while math.floor(hi / step) - math.ceil(lo / step) + 1 > _MAX_TICKS:
+        step *= 10
+    return range(math.ceil(lo / step) * step, math.floor(hi / step) * step + 1, step)
 
 
 def render_spectrum_svg(spectrum: Spectrum, s, title: str | None = None) -> str:
@@ -80,12 +91,12 @@ def render_spectrum_svg(spectrum: Spectrum, s, title: str | None = None) -> str:
             f'r="{_fmt(circle_radius * scale)}" {_CIRCLE_STYLE}/>'
         )
 
-    # axes with unit ticks
+    # axes with ticks
     if y_lo < 0.0 < y_hi:
         parts.append(
             f'<line x1="{px(x_lo)}" y1="{py(0.0)}" x2="{px(x_hi)}" y2="{py(0.0)}" {_AXIS_STYLE}/>'
         )
-        for tick in range(math.ceil(x_lo), math.floor(x_hi) + 1):
+        for tick in _ticks(x_lo, x_hi):
             parts.append(
                 f'<line x1="{px(tick)}" y1="{_fmt(float(py(0.0)) - 4)}" '
                 f'x2="{px(tick)}" y2="{_fmt(float(py(0.0)) + 4)}" {_AXIS_STYLE}/>'
@@ -98,7 +109,7 @@ def render_spectrum_svg(spectrum: Spectrum, s, title: str | None = None) -> str:
         parts.append(
             f'<line x1="{px(0.0)}" y1="{py(y_lo)}" x2="{px(0.0)}" y2="{py(y_hi)}" {_AXIS_STYLE}/>'
         )
-        for tick in range(math.ceil(y_lo), math.floor(y_hi) + 1):
+        for tick in _ticks(y_lo, y_hi):
             if tick == 0:
                 continue
             parts.append(

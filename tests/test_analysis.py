@@ -103,6 +103,18 @@ def test_check_trace_two_vertex_equality():
     assert report.passed
 
 
+def test_check_trace_verdict_is_margin_sign():
+    # 1.9 >= 2 - 0.1 holds in floating point, but 1.9 - 2 + 0.1 < 0
+    fake = Spectrum(np.array([0.1, 1.9]), True)
+    report = check_trace(fake, 2, Tolerances(trace=0.1))
+    assert report.margin < 0 and not report.passed
+    spectrum = solve(p4_example(), 1 + 2j)
+    report = check_trace(spectrum, 4)
+    assert report.margin >= 0 and report.passed
+    outcomes = {o.name: o for o in run_all_checks(p4_example(), 1 + 2j)[0].outcomes}
+    assert outcomes["trace"].margin == report.margin
+
+
 def test_check_zero_simple():
     assert check_zero_simple(solve(p4_example(), 1 + 2j))
     assert check_zero_simple(solve(Network(("a", "b"), (Edge(0, 1, 0, 1, 0),)), 2 + 1j))

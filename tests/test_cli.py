@@ -7,6 +7,7 @@ from acnet_spectra import (
     LaplacianMatrix,
     analysis,
     assemble,
+    cli,
     eigensolver,
     match_multisets,
     p4_example,
@@ -191,6 +192,14 @@ def test_sweep_table(capsys):
     assert ratios[-1] >= 0.999
 
 
+def test_sweep_tracks_eigenvalue_when_s_squared_overflows(capsys):
+    # s*s overflows at s1 = 1e200; the tracked eigenvalue is then 2, not 0
+    code, out, err = run(capsys, ["sweep", "--s1-list", "1e200", "--s2", "0.1"])
+    assert code == 0, err
+    row = out.strip().split("\n")[1].split()
+    assert row[2].startswith("2.0000000000000000e+00")
+
+
 def test_sweep_has_no_jobs_option(capsys):
     code, _, err = run(capsys, ["sweep", "--s1-list", "2,5,10", "--s2", "0.1", "--jobs", "2"])
     assert code == 2
@@ -252,6 +261,22 @@ def test_plot_coincident_circles_at_real_frequency(tmp_path, capsys):
     assert len(set(regions)) == 1  # all three bounding circles coincide
 
 
+def test_plot_tick_count_is_bounded(tmp_path, capsys):
+    # |s| / Re s = 5000: unit ticks would be 14,001 on x and 24,000 on y
+    out_path = tmp_path / "fig.svg"
+    code, _, _ = run(
+        capsys, ["plot", "--example", "p4", "--s", "2e-4+1i", "--out", str(out_path)]
+    )
+    assert code == 0
+    root = ET.fromstring(out_path.read_text())
+    texts = [el for el in root.iter() if el.tag.endswith("text")]
+    for anchor in ("middle", "end"):  # x axis, y axis
+        ticks = [int(el.text) for el in texts if el.get("text-anchor") == anchor]
+        assert 0 < len(ticks) <= 10_000
+        # every tenth unit: 1,401 and 2,400 ticks; the y axis skips 0
+        assert {b - a for a, b in zip(ticks, ticks[1:])} <= {10, 20}
+
+
 def test_plot_is_deterministic(tmp_path, capsys):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"
@@ -265,6 +290,25 @@ def test_reports_are_deterministic(capsys):
     _, first, _ = run(capsys, args)
     _, second, _ = run(capsys, args)
     assert first == second
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("the parser is built once, at import")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    code, out, _ = run(capsys, ["verify", "--example", "p4", "--s", "1+2i"])
+    assert code == 0 and "summary: all applicable checks passed" in out
+
+
+def test_arguments_do_not_carry_over_between_calls(capsys):
+    plain = ["verify", "--example", "p4", "--s", "1+2i"]
+    first = run(capsys, plain)
+    code, _, _ = run(capsys, [*plain, "--tol", "region=1", "--tol", "zero=0.5"])
+    assert code == 4
+    code, out, err = run(capsys, [*plain, "--tol", "region=nan"])
+    assert code == 2 and out == "" and "bad --tol value" in err
+    assert run(capsys, plain) == first
 
 
 def test_out_redirects_text(tmp_path, capsys):
