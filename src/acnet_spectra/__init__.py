@@ -32,7 +32,6 @@ from .analysis import (
     check_bipartite_symmetry,
     check_circles,
     check_disk,
-    check_dual,
     check_trace,
     check_zero_simple,
     gap_bound,
@@ -102,7 +101,6 @@ __all__ = [
     "check_bipartite_symmetry",
     "check_circles",
     "check_disk",
-    "check_dual",
     "check_trace",
     "check_zero_simple",
     "complete_bipartite_network",

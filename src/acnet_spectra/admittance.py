@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _square(x: float) -> float:
+    """x ** 2, infinite where the float power would raise OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def validate_frequency(s) -> complex:
     """Coerce to complex and require a finite value with Re s > 0."""
     s = complex(s)
@@ -72,7 +80,9 @@ def admittance_table(net: Network, s) -> AdmittanceTable:
     # The formula of edge_admittance without its element checks, which the
     # Network constructor has made. Scalar Python arithmetic, because NumPy's
     # complex division rounds differently and would move printed digits.
-    rho_edge = np.array([s / (e.L * s * s + e.R * s + e.D) for e in net.edges], dtype=complex)
+    # L s^2 + R s can underflow to 0 when D = 0; assemble rejects the inf.
+    denominators = [e.L * s * s + e.R * s + e.D for e in net.edges]
+    rho_edge = np.array([s / d if d else math.inf for d in denominators], dtype=complex)
     rho_vertex = np.zeros(net.n, dtype=complex)
     # interleaved endpoints [u0, v0, u1, v1, ...] keep the order of additions
     np.add.at(rho_vertex, net.endpoints.ravel(), rho_edge.repeat(2))
@@ -97,7 +107,7 @@ def _inverse_sums(net: Network) -> np.ndarray:
 def vertex_modulus_bound_margin(net: Network, table: AdmittanceTable, s) -> float:
     """Min over vertices of the modulus bound slack for rho(x)."""
     s = validate_frequency(s)
-    cap = max(1.0, abs(s) ** 2) / s.real
+    cap = max(1.0, _square(abs(s))) / s.real
     return float(np.min(_inverse_sums(net) * cap - np.abs(table.rho_vertex)))
 
 
@@ -123,8 +133,9 @@ def gap_constants(net: Network, s) -> GapConstants:
     inverse_sums = _inverse_sums(net)
     c1 = float(np.min(inverse_sums))
     c2 = float(np.sum(inverse_sums))
-    mod2 = abs(s) ** 2
-    condition_lhs = c1 * s.real * min(mod2, mod2 ** -2) - c2 * (abs(s.imag) / s.real) * (
+    mod2 = _square(abs(s))
+    lower = mod2 if mod2 <= 1.0 else mod2 ** -2  # min(mod2, mod2 ** -2) without overflow
+    condition_lhs = c1 * s.real * lower - c2 * (abs(s.imag) / s.real) * (
         max(1.0, mod2) / s.real
     )
     return GapConstants(c1, c2, condition_lhs, condition_lhs > 0.0)

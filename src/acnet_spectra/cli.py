@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .admittance import validate_frequency
 from .analysis import Tolerances, run_all_checks, sharpness_sweep
-from .eigensolver import ConvergenceError, Spectrum, eigenvalues, residuals
+from .eigensolver import Spectrum, eigenvalues, residuals
 from .laplacian import assemble, format_complex
 from .network import Network, p4_example, parse_network
 from .svgfig import render_spectrum_svg
@@ -244,16 +244,13 @@ def main(argv=None) -> int:
             except ValueError:
                 raise UsageError(f"bad --s1-list {args.s1_list!r}") from None
         code, text = _COMMANDS[args.command](args)
+        if args.command != "plot" and args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    if args.command != "plot" and args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     if code == EXIT_VERIFY:
         print("verification failed; see margins above", file=sys.stderr)
     return code

@@ -36,10 +36,6 @@ class LaplacianMatrix:
 
     entries: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 def assemble(net: Network, s) -> LaplacianMatrix:
     """Build the normalized Laplacian of ``net`` at frequency ``s``.

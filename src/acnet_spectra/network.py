@@ -254,21 +254,13 @@ def diameter(net: Network) -> int:
 
 
 def bipartition(net: Network) -> Bipartition | None:
-    """Two-coloring by breadth-first search; None if an odd cycle exists."""
-    color = [-1] * net.n
-    color[0] = 0
-    adj = net.adjacency()
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y, _ in adj[x]:
-            if color[y] < 0:
-                color[y] = 1 - color[x]
-                queue.append(y)
-            elif color[y] == color[x]:
-                return None
-    plus = tuple(i for i in range(net.n) if color[i] == 0)
-    minus = tuple(i for i in range(net.n) if color[i] == 1)
+    """Two-coloring by BFS distance parity; None if an edge joins two vertices
+    at the same distance, which closes an odd cycle."""
+    dist = _bfs_distances(net.adjacency(), 0)
+    if any(dist[e.u] == dist[e.v] for e in net.edges):
+        return None
+    plus = tuple(i for i, d in enumerate(dist) if d % 2 == 0)
+    minus = tuple(i for i, d in enumerate(dist) if d % 2 == 1)
     return Bipartition(plus, minus)
 
 
@@ -280,33 +272,31 @@ def _edge_elements(count: int, elements) -> list[tuple[float, float, float]]:
     if elements is None:
         return [DEFAULT_ELEMENTS] * count
     elements = list(elements)
-    if elements and isinstance(elements[0], (int, float)):
-        elements = [tuple(elements)] * count
     if len(elements) != count:
         raise NetworkError(f"expected {count} element triples, got {len(elements)}")
     return [tuple(float(x) for x in triple) for triple in elements]
 
 
-def path_network(k: int, elements=None, prefix: str = "v") -> Network:
+def path_network(k: int, elements=None) -> Network:
     """Path on k vertices; elements default to unit resistors."""
     elems = _edge_elements(k - 1, elements)
     return Network(
-        tuple(f"{prefix}{i}" for i in range(k)),
+        tuple(f"v{i}" for i in range(k)),
         tuple(Edge(i, i + 1, *elems[i]) for i in range(k - 1)),
     )
 
 
-def cycle_network(k: int, elements=None, prefix: str = "v") -> Network:
+def cycle_network(k: int, elements=None) -> Network:
     elems = _edge_elements(k, elements)
     edges = [Edge(i, (i + 1) % k, *elems[i]) for i in range(k)]
-    return Network(tuple(f"{prefix}{i}" for i in range(k)), tuple(edges))
+    return Network(tuple(f"v{i}" for i in range(k)), tuple(edges))
 
 
-def complete_network(k: int, elements=None, prefix: str = "v") -> Network:
+def complete_network(k: int, elements=None) -> Network:
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     elems = _edge_elements(len(pairs), elements)
     edges = [Edge(u, v, *e) for (u, v), e in zip(pairs, elems)]
-    return Network(tuple(f"{prefix}{i}" for i in range(k)), tuple(edges))
+    return Network(tuple(f"v{i}" for i in range(k)), tuple(edges))
 
 
 def complete_bipartite_network(p: int, q: int, elements=None) -> Network:

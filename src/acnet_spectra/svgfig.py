@@ -41,12 +41,14 @@ def _ticks(lo: float, hi: float) -> range:
     return range(math.ceil(lo / step) * step, math.floor(hi / step) * step + 1, step)
 
 
-def render_spectrum_svg(spectrum: Spectrum, s, title: str | None = None) -> str:
+def render_spectrum_svg(spectrum: Spectrum, s) -> str:
     """Render eigenvalue dots, the disk bound, the twin circles and [0, 2]."""
     s = validate_frequency(s)
     disk_radius = abs(s) / s.real
     c = abs(s.imag) / s.real
     circle_radius = math.sqrt(1.0 + c * c)
+    if not (math.isfinite(disk_radius) and math.isfinite(circle_radius)):
+        raise ValueError(f"region radius |s| / Re s is not finite at s = {format_complex(s)}")
 
     xs = [1.0 - disk_radius, 1.0 + disk_radius, 1.0 - circle_radius, 1.0 + circle_radius]
     ys = [-disk_radius, disk_radius, c + circle_radius, -c - circle_radius]
@@ -76,10 +78,8 @@ def render_spectrum_svg(spectrum: Spectrum, s, title: str | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f"<title>eigenvalues at s = {format_complex(s)}</title>",
     ]
-    if title is None:
-        title = f"eigenvalues at s = {format_complex(s)}"
-    parts.append(f"<title>{title}</title>")
 
     # region fills first, dots on top
     parts.append(

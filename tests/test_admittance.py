@@ -116,6 +116,17 @@ def test_vertex_modulus_bound_margin_examples():
     assert vertex_modulus_bound_margin(p4_example(), table, 1 + 2j) >= -FLOAT_SLACK
 
 
+def test_bound_powers_do_not_overflow():
+    # |s|^2 overflows above 1.34e154 and |s|^-4 below 1e-77; the unit
+    # resistors keep every admittance at 1
+    net = path_network(3)
+    for s in (1.4e154, 1e200 + 1e200j):
+        assert vertex_modulus_bound_margin(net, admittance_table(net, s), s) == math.inf
+        assert not gap_constants(net, s).admissible
+    assert gap_constants(net, 1e-78).admissible
+    assert not gap_constants(net, 1e-200).admissible  # |s|^2 underflows to 0
+
+
 def test_positive_real_part_randomized():
     # vectorized draw of 10^4 (L, R, D, s) samples
     rng = np.random.default_rng(23)

@@ -393,3 +393,48 @@ def test_overflowing_admittance_is_input_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: vertex 'a'")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s", ["1.4e154", "1e-78", "1e300"])
+def test_extreme_frequency_runs_verify(capsys, s):
+    # |s|^2 overflows above 1.34e154 and |s|^-4 below 1e-77
+    code, out, err = run(capsys, ["verify", "--example", "p4", "--s", s])
+    assert code in (0, 4), err
+    assert re.search(r"^gap_bound +(n/a|PASS|FAIL)", out, re.MULTILINE)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "plot"])
+def test_underflowing_admittance_is_input_error(tmp_path, capsys, command):
+    # L s^2 underflows to 0 on the middle edge, where R = D = 0
+    argv = [command, "--example", "p4", "--s", "1e-162", "--out", str(tmp_path / "x")]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: vertex 'x2': admittance sum rho(x) = inf")
+
+
+@pytest.mark.parametrize("s", ["1+1e200i", "1e-200+1e200i"])
+def test_plot_rejects_infinite_region_radius(tmp_path, capsys, s):
+    svg = tmp_path / "x.svg"
+    code, out, err = run(capsys, ["plot", "--example", "p4", "--s", s, "--out", str(svg)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: region radius |s| / Re s is not finite at s = ")
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--example", "p4", "--s", "1"],
+        ["spectrum", "--example", "p4", "--s", "1"],
+        ["sweep", "--s1-list", "2"],
+    ],
+    ids=["verify", "spectrum", "sweep"],
+)
+def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, [*argv, "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
