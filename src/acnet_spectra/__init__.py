@@ -13,12 +13,8 @@ from .admittance import (
     AdmittanceTable,
     GapConstants,
     admittance_table,
-    edge_admittance,
     gap_constants,
-    lemma_lhs,
-    modulus_bound_margin,
     validate_frequency,
-    vertex_modulus_bound_margin,
 )
 from .analysis import (
     CheckOutcome,
@@ -39,11 +35,8 @@ from .analysis import (
     sharpness_sweep,
 )
 from .eigensolver import (
-    ConvergenceError,
     MatchResult,
     Spectrum,
-    charpoly_coefficients,
-    charpoly_oracle,
     eigenvalues,
     match_multisets,
     residuals,
@@ -51,24 +44,16 @@ from .eigensolver import (
 from .laplacian import (
     LaplacianMatrix,
     assemble,
-    complex_power,
     format_complex,
-    green_residual,
 )
 from .network import (
-    Bipartition,
     Edge,
     Network,
     NetworkError,
     bipartition,
-    complete_bipartite_network,
-    complete_network,
-    cycle_network,
     diameter,
     p4_example,
     parse_network,
-    path_network,
-    serialize_network,
 )
 from .svgfig import render_spectrum_svg
 
@@ -76,10 +61,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmittanceTable",
-    "Bipartition",
     "CheckOutcome",
     "CircleEntry",
-    "ConvergenceError",
     "Edge",
     "GapConstants",
     "GapReport",
@@ -96,35 +79,22 @@ __all__ = [
     "admittance_table",
     "assemble",
     "bipartition",
-    "charpoly_coefficients",
-    "charpoly_oracle",
     "check_bipartite_symmetry",
     "check_circles",
     "check_disk",
     "check_trace",
     "check_zero_simple",
-    "complete_bipartite_network",
-    "complete_network",
-    "complex_power",
-    "cycle_network",
     "diameter",
-    "edge_admittance",
     "eigenvalues",
     "format_complex",
     "gap_bound",
     "gap_constants",
-    "green_residual",
-    "lemma_lhs",
     "match_multisets",
-    "modulus_bound_margin",
     "p4_example",
     "parse_network",
-    "path_network",
     "render_spectrum_svg",
     "residuals",
     "run_all_checks",
-    "serialize_network",
     "sharpness_sweep",
     "validate_frequency",
-    "vertex_modulus_bound_margin",
 ]

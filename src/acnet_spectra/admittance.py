@@ -1,15 +1,9 @@
-"""Complex admittances at a frequency s with Re s > 0, and the scalar
-constants and bound margins derived from them.
+"""Complex admittances at a frequency s with Re s > 0, and the network
+constants of the spectral-gap bound derived from them.
 
 The admittance of a branch with elements (L, R, D) is s / (L s^2 + R s + D).
-For Re s > 0 the denominator cannot vanish, every edge admittance has a
-strictly positive real part, and the moduli obey
-
-    |rho_xy|  <=  (|s| / Re s) * Re rho_xy
-    |rho(x)|  <=  sum_y 1/(L+R+D) * max(1, |s|^2) / Re s
-
-The margin functions below return the raw signed slack of those bounds so
-callers can assert quantitative headroom rather than booleans.
+For Re s > 0 the denominator cannot vanish and every edge admittance has a
+strictly positive real part.
 """
 
 from __future__ import annotations
@@ -25,12 +19,8 @@ __all__ = [
     "AdmittanceTable",
     "GapConstants",
     "admittance_table",
-    "edge_admittance",
     "gap_constants",
-    "lemma_lhs",
-    "modulus_bound_margin",
     "validate_frequency",
-    "vertex_modulus_bound_margin",
 ]
 
 
@@ -50,17 +40,6 @@ def validate_frequency(s) -> complex:
     if not s.real > 0.0:
         raise ValueError("Re s must be positive")
     return s
-
-
-def edge_admittance(L: float, R: float, D: float, s) -> complex:
-    """Admittance s / (L s^2 + R s + D) of one series branch."""
-    for value in (L, R, D):
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError("element values must be non-negative finite reals")
-    if L + R + D == 0.0:
-        raise ValueError("element values must not all be zero")
-    s = validate_frequency(s)
-    return s / (L * s * s + R * s + D)
 
 
 @dataclass(frozen=True)
@@ -89,26 +68,12 @@ def admittance_table(net: Network, s) -> AdmittanceTable:
     return AdmittanceTable(rho_edge, rho_vertex)
 
 
-def modulus_bound_margin(table: AdmittanceTable, s) -> float:
-    """Min over edges of (|s|/Re s) * Re rho_xy - |rho_xy|; never negative."""
-    s = validate_frequency(s)
-    ratio = abs(s) / s.real
-    return float(np.min(ratio * table.rho_edge.real - np.abs(table.rho_edge)))
-
-
 def _inverse_sums(net: Network) -> np.ndarray:
     """Per vertex, the sum of 1/(L+R+D) over its incident edges."""
     w = 1.0 / np.array([e.L + e.R + e.D for e in net.edges])
     sums = np.zeros(net.n)
     np.add.at(sums, net.endpoints.ravel(), w.repeat(2))
     return sums
-
-
-def vertex_modulus_bound_margin(net: Network, table: AdmittanceTable, s) -> float:
-    """Min over vertices of the modulus bound slack for rho(x)."""
-    s = validate_frequency(s)
-    cap = max(1.0, _square(abs(s))) / s.real
-    return float(np.min(_inverse_sums(net) * cap - np.abs(table.rho_vertex)))
 
 
 @dataclass(frozen=True)
@@ -139,14 +104,3 @@ def gap_constants(net: Network, s) -> GapConstants:
         max(1.0, mod2) / s.real
     )
     return GapConstants(c1, c2, condition_lhs, condition_lhs > 0.0)
-
-
-def lemma_lhs(table: AdmittanceTable, s) -> float:
-    """min_x Re rho(x) - (|Im s|/Re s) * sum_x Re rho(x).
-
-    This is bounded below by ``GapConstants.condition_lhs`` for the same
-    network and frequency.
-    """
-    s = validate_frequency(s)
-    tau = table.rho_vertex.real
-    return float(np.min(tau) - (abs(s.imag) / s.real) * np.sum(tau))

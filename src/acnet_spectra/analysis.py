@@ -204,7 +204,7 @@ def check_bipartite_symmetry(
 
     Returns None (not applicable) when the graph has an odd cycle.
     """
-    if bipartition(net) is None:
+    if not bipartition(net):
         return None
     ev = spectrum.eigenvalues
     return match_multisets(ev, 2.0 - ev, tols.match)

@@ -134,7 +134,7 @@ def run_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 def run_sweep(args: argparse.Namespace) -> tuple[int, str]:
     if not args.s1_list:
-        raise UsageError("sweep needs at least one --s1 value")
+        raise UsageError("sweep needs at least one --s1-list value")
     net = None
     if args.network is not None:
         if not args.sweep_any:

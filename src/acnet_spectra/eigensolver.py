@@ -1,15 +1,12 @@
-"""Dense complex non-Hermitian eigensolver with an independent oracle.
+"""Dense complex non-Hermitian eigensolver.
 
 ``eigenvalues`` reduces the matrix to upper Hessenberg form with
 Householder reflections and runs an explicitly shifted QR iteration
 (Wilkinson shift from the trailing 2x2, Givens rotations, deflation on
-negligible subdiagonal entries). ``charpoly_oracle`` recovers the same
-multiset by a completely different route: characteristic-polynomial
-coefficients via the Faddeev-LeVerrier recurrence, roots via
-Durand-Kerner iteration. Neither computes eigenvectors: ``residuals``
-is a separate pass that runs inverse iteration once per eigenvalue
-(O(n^4) in total), for callers that print the per-eigenvalue residual
-diagnostics.
+negligible subdiagonal entries). It computes no eigenvectors:
+``residuals`` is a separate pass that runs inverse iteration once per
+eigenvalue (O(n^4) in total), for callers that print the per-eigenvalue
+residual diagnostics.
 """
 
 from __future__ import annotations
@@ -19,13 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
     "DEFLATION_TOL",
     "MatchResult",
     "RESIDUAL_TOL",
     "Spectrum",
-    "charpoly_coefficients",
-    "charpoly_oracle",
     "eigenvalues",
     "match_multisets",
     "residuals",
@@ -36,18 +30,13 @@ RESIDUAL_TOL = 1e-8
 _SEED = 0x5EED  # fixed so inverse-iteration perturbations are reproducible
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative stage failed to converge within its budget."""
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """All eigenvalues of one matrix, sorted by (Re, Im) ascending.
 
     ``converged`` reports whether the QR iteration deflated completely
-    within its sweep budget (the oracle sets it from the root finder
-    instead). Eigenvector residuals are not part of a spectrum; see
-    :func:`residuals`.
+    within its sweep budget. Eigenvector residuals are not part of a
+    spectrum; see :func:`residuals`.
     """
 
     eigenvalues: np.ndarray
@@ -262,66 +251,6 @@ def residuals(a, values) -> np.ndarray:
     for k, lam in enumerate(values):
         out[k] = _inverse_iteration(a, lam)
     return out
-
-
-# ---------------------------------------------------------------------------
-# characteristic-polynomial oracle
-# ---------------------------------------------------------------------------
-
-def charpoly_coefficients(a) -> np.ndarray:
-    """Monic characteristic polynomial, coefficients in descending powers."""
-    a = _checked_square(a)
-    n = a.shape[0]
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    m = np.zeros((n, n), dtype=complex)
-    c = 1.0 + 0.0j
-    for k in range(1, n + 1):
-        m = a @ m + c * np.eye(n)
-        c = -np.trace(a @ m) / k
-        coeffs[k] = c
-    return coeffs
-
-
-def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
-    n = coeffs.size - 1
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))  # Cauchy root bound
-    k = np.arange(n)
-    # rotated roots of unity: the offset breaks conjugate symmetry traps
-    z = radius * np.exp(1j * (2.0 * np.pi * k / n + 0.4))
-    for _ in range(1000):
-        p = np.polyval(coeffs, z)
-        denom = np.empty(n, dtype=complex)
-        for j in range(n):
-            diff = z[j] - z
-            diff[j] = 1.0
-            denom[j] = np.prod(diff)
-        collided = denom == 0.0
-        if np.any(collided):
-            z[collided] += radius * 1e-6 * np.exp(1j * (1.0 + k[collided]))
-            continue
-        step = p / denom
-        z = z - step
-        if np.max(np.abs(step)) <= 1e-13 * max(1.0, float(np.max(np.abs(z)))):
-            return z
-    raise ConvergenceError("Durand-Kerner did not converge within 1000 sweeps")
-
-
-def charpoly_oracle(a) -> Spectrum:
-    """Spectrum via characteristic polynomial root finding (n <= 10).
-
-    Independent of the QR path end to end, which makes it a useful
-    cross-check for the main solver on small matrices.
-    """
-    a = _checked_square(a)
-    n = a.shape[0]
-    if n > 10:
-        raise ValueError("characteristic-polynomial oracle is limited to n <= 10")
-    if n == 1:
-        values = a.diagonal().astype(complex)
-    else:
-        values = _durand_kerner(charpoly_coefficients(a))
-    return Spectrum(_sorted_lex(values), True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Assembly of the normalized complex-weighted Laplacian and the energy
-identities attached to it.
+"""Assembly of the normalized complex-weighted Laplacian.
 
 The operator acts on functions f on the vertex set as
 
@@ -24,9 +23,7 @@ from .network import Network
 __all__ = [
     "LaplacianMatrix",
     "assemble",
-    "complex_power",
     "format_complex",
-    "green_residual",
 ]
 
 
@@ -62,38 +59,6 @@ def assemble(net: Network, s) -> LaplacianMatrix:
     a[u, v] = -rho_edge / rho_vertex[u]
     a[v, u] = -rho_edge / rho_vertex[v]
     return LaplacianMatrix(a)
-
-
-def green_residual(net: Network, s, f, g) -> float:
-    """Absolute defect of the summation-by-parts identity.
-
-    Compares sum_x (Lf)(x) g(x) rho(x) against the half ordered-pair sum
-    of the gradient products weighted by edge admittances; the identity
-    is exact, so the result is rounding noise.
-    """
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    if f.shape != (net.n,) or g.shape != (net.n,):
-        raise ValueError(f"expected vectors of length {net.n}")
-    s = validate_frequency(s)
-    table = admittance_table(net, s)
-    lap = assemble(net, s)
-    lhs = np.sum((lap.entries @ f) * g * table.rho_vertex)
-    u, v = net.endpoints.T
-    # each edge stands for both ordered pairs, cancelling the 1/2
-    rhs = np.sum((f[v] - f[u]) * (g[v] - g[u]) * table.rho_edge)
-    return abs(lhs - rhs)
-
-
-def complex_power(net: Network, s, f) -> complex:
-    """Half the ordered-pair sum of |f(y) - f(x)|^2 rho_xy."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (net.n,):
-        raise ValueError(f"expected a vector of length {net.n}")
-    s = validate_frequency(s)
-    table = admittance_table(net, s)
-    u, v = net.endpoints.T
-    return complex(np.sum(np.abs(f[v] - f[u]) ** 2 * table.rho_edge))
 
 
 def format_complex(z: complex) -> str:

@@ -16,22 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Bipartition",
     "Edge",
     "Network",
     "NetworkError",
     "bipartition",
-    "complete_bipartite_network",
-    "complete_network",
-    "cycle_network",
     "diameter",
     "p4_example",
     "parse_network",
-    "path_network",
-    "serialize_network",
 ]
-
-DEFAULT_ELEMENTS = (0.0, 1.0, 0.0)  # a plain unit resistor
 
 
 class NetworkError(ValueError):
@@ -56,14 +48,6 @@ class Edge:
     L: float = 0.0
     R: float = 0.0
     D: float = 0.0
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Two-coloring of the vertex set; every edge crosses the parts."""
-
-    part_plus: tuple[int, ...]
-    part_minus: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -220,16 +204,6 @@ def parse_network(text: str) -> Network:
         raise NetworkError(str(exc), line, exc.edge) from None
 
 
-def serialize_network(net: Network) -> str:
-    """Render a network in the file format; parse(serialize(net)) == net."""
-    lines = ["vertices: " + " ".join(net.vertices)]
-    for e in net.edges:
-        lines.append(
-            f"edge {net.vertices[e.u]} {net.vertices[e.v]} L={e.L!r} R={e.R!r} D={e.D!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # graph metrics
 # ---------------------------------------------------------------------------
@@ -253,59 +227,16 @@ def diameter(net: Network) -> int:
     return max(max(_bfs_distances(adj, src)) for src in range(net.n))
 
 
-def bipartition(net: Network) -> Bipartition | None:
-    """Two-coloring by BFS distance parity; None if an edge joins two vertices
-    at the same distance, which closes an odd cycle."""
+def bipartition(net: Network) -> bool:
+    """Whether BFS distance parity two-colors the graph: False if an edge
+    joins two vertices at the same distance, which closes an odd cycle."""
     dist = _bfs_distances(net.adjacency(), 0)
-    if any(dist[e.u] == dist[e.v] for e in net.edges):
-        return None
-    plus = tuple(i for i, d in enumerate(dist) if d % 2 == 0)
-    minus = tuple(i for i, d in enumerate(dist) if d % 2 == 1)
-    return Bipartition(plus, minus)
+    return not any(dist[e.u] == dist[e.v] for e in net.edges)
 
 
 # ---------------------------------------------------------------------------
-# builders
+# the built-in example
 # ---------------------------------------------------------------------------
-
-def _edge_elements(count: int, elements) -> list[tuple[float, float, float]]:
-    if elements is None:
-        return [DEFAULT_ELEMENTS] * count
-    elements = list(elements)
-    if len(elements) != count:
-        raise NetworkError(f"expected {count} element triples, got {len(elements)}")
-    return [tuple(float(x) for x in triple) for triple in elements]
-
-
-def path_network(k: int, elements=None) -> Network:
-    """Path on k vertices; elements default to unit resistors."""
-    elems = _edge_elements(k - 1, elements)
-    return Network(
-        tuple(f"v{i}" for i in range(k)),
-        tuple(Edge(i, i + 1, *elems[i]) for i in range(k - 1)),
-    )
-
-
-def cycle_network(k: int, elements=None) -> Network:
-    elems = _edge_elements(k, elements)
-    edges = [Edge(i, (i + 1) % k, *elems[i]) for i in range(k)]
-    return Network(tuple(f"v{i}" for i in range(k)), tuple(edges))
-
-
-def complete_network(k: int, elements=None) -> Network:
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    elems = _edge_elements(len(pairs), elements)
-    edges = [Edge(u, v, *e) for (u, v), e in zip(pairs, elems)]
-    return Network(tuple(f"v{i}" for i in range(k)), tuple(edges))
-
-
-def complete_bipartite_network(p: int, q: int, elements=None) -> Network:
-    labels = tuple(f"a{i}" for i in range(p)) + tuple(f"b{j}" for j in range(q))
-    pairs = [(i, p + j) for i in range(p) for j in range(q)]
-    elems = _edge_elements(len(pairs), elements)
-    edges = [Edge(u, v, *e) for (u, v), e in zip(pairs, elems)]
-    return Network(labels, tuple(edges))
-
 
 def p4_example() -> Network:
     """The 4-vertex path whose edge weights become s, 1/s, s.

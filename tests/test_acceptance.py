@@ -12,23 +12,25 @@ import numpy as np
 from acnet_spectra import (
     Tolerances,
     assemble,
-    charpoly_oracle,
     check_bipartite_symmetry,
     check_circles,
     check_trace,
     check_zero_simple,
-    complete_bipartite_network,
-    complete_network,
-    cycle_network,
     eigenvalues,
     gap_bound,
-    green_residual,
     match_multisets,
     p4_example,
-    path_network,
     sharpness_sweep,
 )
 from conftest import random_connected_network, random_elements, random_frequency
+from oracles import (
+    charpoly_oracle,
+    complete_bipartite_network,
+    complete_network,
+    cycle_network,
+    green_residual,
+    path_network,
+)
 
 
 def report(num, label, ok, detail=""):

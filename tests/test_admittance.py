@@ -5,19 +5,21 @@ import pytest
 
 from acnet_spectra import (
     admittance_table,
-    complete_network,
-    edge_admittance,
     gap_constants,
-    lemma_lhs,
-    modulus_bound_margin,
     p4_example,
-    path_network,
     validate_frequency,
-    vertex_modulus_bound_margin,
     Network,
     Edge,
 )
 from conftest import random_connected_network, random_frequency
+from oracles import (
+    complete_network,
+    edge_admittance,
+    lemma_lhs,
+    modulus_bound_margin,
+    path_network,
+    vertex_modulus_bound_margin,
+)
 
 FLOAT_SLACK = 1e-12
 

@@ -14,8 +14,6 @@ from acnet_spectra import (
     check_disk,
     check_trace,
     check_zero_simple,
-    complete_network,
-    cycle_network,
     eigenvalues,
     gap_bound,
     match_multisets,
@@ -24,6 +22,7 @@ from acnet_spectra import (
     sharpness_sweep,
 )
 from conftest import random_connected_network, random_frequency
+from oracles import complete_network, cycle_network
 
 
 def solve(net, s):
@@ -195,6 +194,24 @@ def test_gap_bound_formula_is_not_sharp_for_large_real_s():
     assert report.bound == pytest.approx(4.5)
     assert report.lambda1_modulus == pytest.approx(2.0)
     assert report.satisfied is False
+
+
+@pytest.mark.parametrize(
+    "s,bound,lambda1,satisfied",
+    [(1.94, 0.20909, 0.20993, True), (2.0, 0.22222, 0.2, False)],
+)
+def test_gap_bound_p4_threshold_from_closed_form(s, bound, lambda1, satisfied):
+    # p4 at real s has spectrum {0, mu, 2 - mu, 2} with mu = 1/(1 + s^2),
+    # and the formula gives s^2/18, so it fails once s^4 + s^2 > 18,
+    # i.e. s > 1.942. No eigensolve: the spectrum is the closed form.
+    mu = 1.0 / (1.0 + s * s)
+    spectrum = Spectrum(np.array([0.0, mu, 2.0 - mu, 2.0], dtype=complex), True)
+    report = gap_bound(p4_example(), s, spectrum)
+    assert report.admissible
+    assert report.bound == pytest.approx(s * s / 18, rel=1e-15)
+    assert report.bound == pytest.approx(bound, abs=1e-5)
+    assert report.lambda1_modulus == pytest.approx(lambda1, abs=1e-5)
+    assert report.satisfied is satisfied
 
 
 def test_sharpness_point_values():

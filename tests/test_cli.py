@@ -209,7 +209,7 @@ def test_sweep_has_no_jobs_option(capsys):
 def test_sweep_empty_list_is_usage_error(capsys):
     code, _, err = run(capsys, ["sweep", "--s1-list", "", "--s2", "0.1"])
     assert code == 2
-    assert "at least one" in err
+    assert "at least one --s1-list value" in err
 
 
 def test_sweep_user_network_needs_flag(tmp_path, capsys):

@@ -3,13 +3,12 @@ import pytest
 
 from acnet_spectra import (
     assemble,
-    charpoly_coefficients,
-    charpoly_oracle,
     eigenvalues,
     match_multisets,
     p4_example,
     residuals,
 )
+from oracles import charpoly_coefficients, charpoly_oracle, cycle_network
 
 P4_SPECTRUM_1_2I = np.array([0.0, 2.0, -0.1 - 0.2j, 2.1 + 0.2j])
 
@@ -147,8 +146,6 @@ def test_charpoly_oracle_rejects_large_matrices():
 
 def test_charpoly_oracle_repeated_roots():
     # double eigenvalue 1 from the 4-cycle at s = 1
-    from acnet_spectra import cycle_network
-
     a = assemble(cycle_network(4), 1.0).entries
     spectrum = charpoly_oracle(a)
     assert match_multisets(spectrum.eigenvalues, [0, 1, 1, 2], 1e-6).ok

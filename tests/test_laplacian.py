@@ -6,14 +6,12 @@ from acnet_spectra import (
     Network,
     admittance_table,
     assemble,
-    complex_power,
-    edge_admittance,
     eigenvalues,
     format_complex,
-    green_residual,
     p4_example,
 )
 from conftest import build_corpus, random_connected_network, random_frequency
+from oracles import complex_power, edge_admittance, green_residual
 
 
 def p4_closed_form(s: complex) -> np.ndarray:

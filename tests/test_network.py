@@ -8,15 +8,13 @@ from acnet_spectra import (
     Network,
     NetworkError,
     bipartition,
-    complete_network,
-    cycle_network,
     diameter,
     p4_example,
     parse_network,
-    path_network,
-    serialize_network,
 )
+from acnet_spectra.network import _bfs_distances
 from conftest import random_connected_network
+from oracles import complete_network, cycle_network, path_network, serialize_network
 
 P4_TEXT = """\
 # four-vertex path with weights s, 1/s, s
@@ -138,25 +136,29 @@ def _has_two_coloring(net):
     return False
 
 
+def _two_coloring(net):
+    """Vertex sets at even and odd BFS distance from vertex 0."""
+    dist = _bfs_distances(net.adjacency(), 0)
+    return {i for i, d in enumerate(dist) if d % 2 == 0}, {i for i, d in enumerate(dist) if d % 2}
+
+
 def test_bipartition_examples():
-    bip = bipartition(p4_example())
-    assert (set(bip.part_plus), set(bip.part_minus)) == ({0, 2}, {1, 3})
-    assert bipartition(complete_network(3)) is None
-    c4 = bipartition(cycle_network(4))
-    assert sorted(map(len, (c4.part_plus, c4.part_minus))) == [2, 2]
+    assert bipartition(p4_example()) is True
+    assert _two_coloring(p4_example()) == ({0, 2}, {1, 3})
+    assert bipartition(complete_network(3)) is False
+    assert bipartition(cycle_network(4)) is True
+    assert sorted(map(len, _two_coloring(cycle_network(4)))) == [2, 2]
 
 
 def test_bipartition_against_bruteforce():
     rng = np.random.default_rng(13)
     for _ in range(50):
         net = random_connected_network(rng, n_max=8)
-        bip = bipartition(net)
-        assert (bip is not None) == _has_two_coloring(net)
-        if bip is not None:
-            assert set(bip.part_plus) | set(bip.part_minus) == set(range(net.n))
-            assert not set(bip.part_plus) & set(bip.part_minus)
+        assert bipartition(net) == _has_two_coloring(net)
+        if bipartition(net):
+            plus, _ = _two_coloring(net)
             for e in net.edges:
-                assert (e.u in bip.part_plus) != (e.v in bip.part_plus)
+                assert (e.u in plus) != (e.v in plus)
 
 
 def test_adjacency_is_sorted_and_immutables_shared():
