@@ -56,8 +56,8 @@ class AdmittanceTable:
 
 def admittance_table(net: Network, s) -> AdmittanceTable:
     s = validate_frequency(s)
-    # The formula of edge_admittance without its element checks, which the
-    # Network constructor has made. Scalar Python arithmetic, because NumPy's
+    # Edge admittance rho = s / (L s^2 + R s + D); the Network constructor has
+    # checked the elements. Scalar Python arithmetic, because NumPy's
     # complex division rounds differently and would move printed digits.
     # L s^2 + R s can underflow to 0 when D = 0; assemble rejects the inf.
     denominators = [e.L * s * s + e.R * s + e.D for e in net.edges]

@@ -1,6 +1,7 @@
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from acnet_spectra import (
@@ -322,10 +323,10 @@ def test_out_redirects_text(tmp_path, capsys):
 
 
 def test_verify_and_plot_skip_residuals(tmp_path, capsys, monkeypatch):
-    def no_inverse_iteration(*args, **kwargs):
-        raise AssertionError("inverse iteration must not run")
+    def no_eig(*args, **kwargs):
+        raise AssertionError("the residual eigendecomposition must not run")
 
-    monkeypatch.setattr(eigensolver, "_inverse_iteration", no_inverse_iteration)
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
     report, spectrum = run_all_checks(p4_example(), 1 + 2j)
     assert report.all_passed() and spectrum.converged
     code, out, _ = run(capsys, ["verify", "--example", "p4", "--s", "1+2i"])

@@ -97,6 +97,37 @@ def test_residuals_below_tolerance():
         assert np.all(residuals(a, spectrum.eigenvalues) <= 1e-8)
 
 
+def test_residuals_on_corpus(solved_corpus):
+    worst = 0.0
+    for net, s, spectrum, _ in solved_corpus:
+        res = residuals(assemble(net, s).entries, spectrum.eigenvalues)
+        worst = max(worst, float(res.max()))
+    assert worst <= 1e-10
+
+
+def test_residuals_use_one_eigendecomposition(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    a = random_matrix(np.random.default_rng(48), 12)
+    values = eigenvalues(a).eigenvalues
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    res = residuals(a, values)
+    assert calls == [(12, 12)]
+    assert res.shape == (12,) and np.all(res <= 1e-10)
+
+
+def test_residual_of_non_finite_value_is_inf():
+    a = assemble(p4_example(), 1 + 2j).entries
+    res = residuals(a, [complex(np.nan, np.nan), 2.0])
+    assert res[0] == np.inf
+    assert np.isfinite(res[1]) and res[1] <= 1e-10
+
+
 def test_input_validation():
     with pytest.raises(ValueError, match="square"):
         eigenvalues(np.ones((2, 3)))

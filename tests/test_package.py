@@ -1,14 +1,19 @@
 """The package surface: what the benchmark tracer rebinds, what the package
-exports, and that test-only references stay out of it."""
+exports, that test-only references stay out of it, and what the commands
+import."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import acnet_spectra
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 # module -> definitions that only tests use; they live in tests/oracles.py
 TEST_ONLY = {
@@ -50,3 +55,27 @@ def test_test_only_names_are_not_in_the_package(module):
         assert not hasattr(mod, name)
         assert not hasattr(acnet_spectra, name)
         assert name not in acnet_spectra.__all__
+
+
+# Runs the four commands in one fresh process: numpy.random costs each process
+# its import time and memory, so no command may import it.
+COMMANDS_WITHOUT_NUMPY_RANDOM = """
+import sys
+from acnet_spectra.cli import main
+
+out = sys.argv[1]
+for argv in (["spectrum", "--example", "p4", "--s", "1+2i"],
+             ["verify", "--example", "p4", "--s", "1+2i"],
+             ["plot", "--example", "p4", "--s", "1+2i", "--out", out],
+             ["sweep", "--example", "p4", "--s1-list", "2,5", "--s2", "0.1"]):
+    assert main(argv) == 0, argv
+assert "numpy.random" not in sys.modules, "numpy.random was imported"
+"""
+
+
+def test_commands_do_not_import_numpy_random(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", COMMANDS_WITHOUT_NUMPY_RANDOM, str(tmp_path / "p4.svg")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert result.returncode == 0, result.stderr
